@@ -24,17 +24,57 @@ static_assert(core::ClusterConfig::Batching::kMaxBatchCommands <=
 /// (one multi-command slot per object touched by the flush).
 constexpr std::size_t kMaxSlotsPerBatchRound = 8;
 
-/// Exact wire size of an encoded slot list: the varint slot count, then
-/// per slot its header, full head command, and batch tail framing — byte
-/// for byte what net::serde emits (a multi-slot round repeats a shared
-/// command per slot; the encoder carries no cross-slot references).
-std::size_t slots_wire_size(const SlotList& slots) {
-  std::size_t bytes = net::varint_len(slots.size());
-  for (const auto& s : slots) bytes += s.encoded_size();
+/// Exact wire bytes of the heads and batch tails of a slot or vote list:
+/// a head repeated from an earlier element is charged as a reference,
+/// byte for byte what net::serde emits.
+template <typename List>
+std::size_t heads_and_tails_wire_size(const List& values) {
+  HeadIndex heads(values.size());
+  std::size_t bytes = 0;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const auto& v = values[i];
+    bytes += heads.first(v.cmd->id.value, i) == i ? v.cmd->wire_size()
+                                                  : HeadIndex::kRefBytes;
+    bytes += core::CommandBatch::tail_encoded_size(v.batch);
+  }
   return bytes;
 }
 
+/// Exact wire size of an encoded slot list: the varint slot count, then
+/// per slot its header, head command (or reference) and batch tail.
+std::size_t slots_wire_size(const SlotList& slots) {
+  return net::varint_len(slots.size()) +
+         SlotValue::kHeaderBytes * slots.size() +
+         heads_and_tails_wire_size(slots);
+}
+
 }  // namespace
+
+void HeadIndex::use_table(std::size_t n_heads) {
+  // One table per thread, reused across messages: it grows to the longest
+  // list seen and then never allocates again. Encoding, decoding and
+  // wire_size() never nest, so no two live indexes share it.
+  thread_local std::vector<Entry> table;
+  std::size_t size = 2 * kInline;
+  while (size < 2 * n_heads) size *= 2;
+  table.assign(size, Entry{0, SIZE_MAX});
+  table_ = table.data();
+  mask_ = size - 1;
+}
+
+std::size_t HeadIndex::first_hashed(std::uint64_t id, std::size_t pos) {
+  // At most n_heads inserts into >= 2 * n_heads entries: a probe always
+  // ends at the id or at an empty entry.
+  for (std::size_t i = ((id * 0x9E3779B97F4A7C15ULL) >> 32) & mask_;;
+       i = (i + 1) & mask_) {
+    Entry& e = table_[i];
+    if (e.pos == SIZE_MAX) {
+      e = Entry{id, pos};
+      return pos;
+    }
+    if (e.id == id) return e.pos;
+  }
+}
 
 std::size_t Accept::wire_size() const {
   if (cached_size_ == SIZE_MAX)
@@ -48,15 +88,22 @@ std::size_t Decide::wire_size() const {
   return cached_size_;
 }
 
+std::size_t SyncReply::wire_size() const {
+  if (cached_size_ == SIZE_MAX)
+    cached_size_ = net::varint_len(kind()) + slots_wire_size(slots);
+  return cached_size_;
+}
+
 std::size_t AckPrepare::wire_size() const {
-  std::size_t bytes = net::varint_len(kind()) + 8 + 4 + 1 +
-                      net::varint_len(votes.size()) +
-                      net::varint_len(delivered_floors.size()) +
-                      16 * delivered_floors.size() +
-                      net::varint_len(hints.size()) + 20 * hints.size();
-  for (const auto& v : votes)
-    bytes += 25 + v.cmd->wire_size() + core::CommandBatch::tail_encoded_size(v.batch);
-  return bytes;
+  if (cached_size_ == SIZE_MAX)
+    cached_size_ = net::varint_len(kind()) + 8 + 4 + 1 +
+                   net::varint_len(votes.size()) +
+                   Vote::kHeaderBytes * votes.size() +
+                   heads_and_tails_wire_size(votes) +
+                   net::varint_len(delivered_floors.size()) +
+                   16 * delivered_floors.size() +
+                   net::varint_len(hints.size()) + 20 * hints.size();
+  return cached_size_;
 }
 
 M2PaxosReplica::M2PaxosReplica(NodeId id, const core::ClusterConfig& cfg,

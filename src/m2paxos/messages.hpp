@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -21,8 +23,7 @@ using core::ObjectId;
 /// One (object, position) cell targeted by an Accept/Decide, together with
 /// the epoch it is proposed in and the command to place there. The command
 /// is a shared immutable handle: Accept, acceptor slots, Decide, and the
-/// slot log all reference the same allocation (the modeled wire still
-/// carries the full command — wire_size() is unchanged).
+/// slot log all reference the same allocation.
 struct SlotValue {
   ObjectId object = 0;
   Instance instance = 0;
@@ -51,18 +52,54 @@ struct SlotValue {
         cmd(std::make_shared<const Command>(std::move(c))) {}
 
   static constexpr std::size_t kHeaderBytes = 24;  // object+instance+epoch
+};
 
-  /// Exact wire bytes of the batch tail riding behind the head command:
-  /// the varint member count (one byte spelling 0 for single-command
-  /// slots) plus the tail members.
-  std::size_t batch_tail_wire_size() const {
-    return core::CommandBatch::tail_encoded_size(batch);
+/// Head back-references on the wire. Within one Accept, Decide or
+/// SyncReply slot list, or one AckPrepare vote list, the first head with a
+/// given command id is written in full and every later head with that id
+/// as a kRefBytes reference to it (net/serde.cpp), so a multi-object
+/// command travels once per message, as in the paper's Algorithm 2. The
+/// encoder, the decoder and wire_size() all ask this index, so they apply
+/// one rule. Lists of up to kInline heads are scanned on the stack; longer
+/// ones (AckPrepare votes while delivery stalls) hash into a per-thread
+/// table, so no use allocates in steady state or is quadratic in the list
+/// length.
+class HeadIndex {
+ public:
+  /// A reference spells u64 id | u32 0 | u8 reference flag.
+  static constexpr std::size_t kRefBytes = 13;
+
+  /// `n_heads` bounds the number of first() calls.
+  explicit HeadIndex(std::size_t n_heads) {
+    if (n_heads > kInline) use_table(n_heads);
+  }
+  HeadIndex(const HeadIndex&) = delete;
+  HeadIndex& operator=(const HeadIndex&) = delete;
+
+  /// Position of the first head with `id` seen so far; records `pos` as
+  /// that position, and returns it, when `id` is new.
+  std::size_t first(std::uint64_t id, std::size_t pos) {
+    if (table_ != nullptr) return first_hashed(id, pos);
+    for (std::size_t i = 0; i < n_inline_; ++i)
+      if (inline_[i].id == id) return inline_[i].pos;
+    assert(n_inline_ < kInline);
+    inline_[n_inline_++] = Entry{id, pos};
+    return pos;
   }
 
-  /// Exact encoded size of this slot inside an Accept/Decide/SyncReply.
-  std::size_t encoded_size() const {
-    return kHeaderBytes + cmd->wire_size() + batch_tail_wire_size();
-  }
+ private:
+  void use_table(std::size_t n_heads);
+  std::size_t first_hashed(std::uint64_t id, std::size_t pos);
+
+  static constexpr std::size_t kInline = 16;
+  struct Entry {
+    std::uint64_t id;
+    std::size_t pos;
+  };
+  std::array<Entry, kInline> inline_;  // read only below n_inline_
+  std::size_t n_inline_ = 0;
+  Entry* table_ = nullptr;  // open-addressing table for long lists
+  std::size_t mask_ = 0;
 };
 
 /// Slot list of an Accept/Decide: inline capacity 8 — fast-path rounds
@@ -170,6 +207,9 @@ struct AckPrepare final : net::Payload {
     /// the head without its tail would lose the tail members for good.
     CommandBatchPtr batch;
 
+    /// object + instance + epoch u64s, decided u8
+    static constexpr std::size_t kHeaderBytes = 25;
+
     Vote() = default;
     Vote(ObjectId o, Instance in, Epoch e, bool dec, CommandPtr c)
         : object(o),
@@ -197,8 +237,11 @@ struct AckPrepare final : net::Payload {
   std::vector<ViewHint> hints;  // populated on NACK
 
   std::uint32_t kind() const override { return net::kKindM2Paxos + 6; }
-  std::size_t wire_size() const override;
+  std::size_t wire_size() const override;  // cached; call once built
   const char* name() const override { return "M2.AckPrepare"; }
+
+ private:
+  mutable std::size_t cached_size_ = SIZE_MAX;
 };
 
 /// Anti-entropy: ask a peer for decided slots this node is missing
@@ -230,12 +273,11 @@ struct SyncReply final : net::Payload {
   SlotList slots;
 
   std::uint32_t kind() const override { return net::kKindM2Paxos + 8; }
-  std::size_t wire_size() const override {
-    std::size_t bytes = net::varint_len(kind()) + net::varint_len(slots.size());
-    for (const auto& s : slots) bytes += s.encoded_size();
-    return bytes;
-  }
+  std::size_t wire_size() const override;  // cached; payloads are immutable
   const char* name() const override { return "M2.SyncReply"; }
+
+ private:
+  mutable std::size_t cached_size_ = SIZE_MAX;
 };
 
 }  // namespace m2::m2p

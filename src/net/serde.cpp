@@ -11,10 +11,6 @@ namespace m2::net {
 
 namespace {
 
-// Sanity caps: a frame claiming more elements than this is malformed (or
-// hostile); decoding fails instead of allocating unbounded memory.
-constexpr std::uint64_t kMaxListLen = 1 << 20;
-
 /// Decoded messages are built on transport reader (or sender) threads and
 /// released by the consuming node thread, so they come from the
 /// thread-safe wire arena — never from a replica's single-threaded pool,
@@ -22,6 +18,16 @@ constexpr std::uint64_t kMaxListLen = 1 << 20;
 template <typename T, typename... Args>
 PayloadPtr arena_payload(Args&&... args) {
   return arena_make_shared<const T>(std::forward<Args>(args)...);
+}
+
+/// Reads a list's element count, rejecting one the rest of the frame cannot
+/// hold at `min_bytes` per element: a hostile count must fail before it
+/// sizes any buffer, so a frame can only make the decoder allocate what its
+/// own bytes back.
+std::optional<std::uint64_t> read_count(Reader& r, std::size_t min_bytes) {
+  const auto n = r.varint();
+  if (!n || *n > r.remaining() / min_bytes) return std::nullopt;
+  return n;
 }
 
 }  // namespace
@@ -33,9 +39,20 @@ PayloadPtr arena_payload(Args&&... args) {
 // The padding materializes the modeled opaque application payload on a
 // real wire; decode restores body == nullptr for that case, so encode and
 // decode are exact inverses.
+//
+// An M²Paxos slot or vote head may instead be a back-reference to an
+// earlier head of the same message with the same command id
+// (m2p::HeadIndex):
+//   u64 id | u32 0 | u8 kCmdRef
+// Every other command position rejects the reference flag.
 namespace {
 constexpr std::uint8_t kCmdNoop = 1u << 0;
 constexpr std::uint8_t kCmdHasBody = 1u << 1;
+constexpr std::uint8_t kCmdRef = 1u << 2;
+/// Smallest full command: id, payload_bytes, flags, empty object list.
+constexpr std::size_t kMinCommandBytes = 8 + 4 + 1 + 1;
+static_assert(m2p::HeadIndex::kRefBytes == 8 + 4 + 1,
+              "a reference is a command prefix with no objects or payload");
 }  // namespace
 
 void write_command(Writer& w, const core::Command& c) {
@@ -61,7 +78,8 @@ std::optional<core::Command> read_command(Reader& r) {
   const auto flags = r.u8();
   const auto n_objects = r.varint();
   if (!id || !payload_bytes || !flags || !n_objects ||
-      *n_objects > kMaxListLen || (*flags & ~(kCmdNoop | kCmdHasBody)) != 0)
+      *n_objects > r.remaining() / 8 ||
+      (*flags & ~(kCmdNoop | kCmdHasBody)) != 0)
     return std::nullopt;
   core::ObjectList objects;
   objects.reserve(*n_objects);
@@ -75,7 +93,7 @@ std::optional<core::Command> read_command(Reader& r) {
   c.payload_bytes = *payload_bytes;  // Command ctor may not preserve it
   if ((*flags & kCmdHasBody) != 0) {
     const auto body_len = r.varint();
-    if (!body_len || *body_len > kMaxListLen) return std::nullopt;
+    if (!body_len || *body_len > r.remaining()) return std::nullopt;
     std::vector<std::uint8_t> body(*body_len);
     for (auto& b : body) {
       const auto byte = r.u8();
@@ -139,8 +157,8 @@ void write_tail(Writer& w, const std::vector<core::Command>& tail) {
 }
 
 bool read_tail(Reader& r, std::vector<core::Command>& tail) {
-  const auto n = r.varint();
-  if (!n || *n > kMaxListLen) return false;
+  const auto n = read_count(r, kMinCommandBytes);
+  if (!n) return false;
   tail.reserve(*n);
   for (std::uint64_t i = 0; i < *n; ++i) {
     auto cmd = read_command(r);
@@ -148,6 +166,57 @@ bool read_tail(Reader& r, std::vector<core::Command>& tail) {
     tail.push_back(std::move(*cmd));
   }
   return true;
+}
+
+// M²Paxos slot and vote heads: the first head with a command id in a
+// message is written in full, every later one as a reference to it.
+void write_head(Writer& w, m2p::HeadIndex& heads, std::size_t pos,
+                const core::Command& c) {
+  if (heads.first(c.id.value, pos) == pos) {
+    write_command(w, c);
+    return;
+  }
+  w.u64(c.id.value);
+  w.u32(0);
+  w.u8(kCmdRef);
+}
+
+/// Reads the head of element `decoded.size()` of a slot or vote list. A
+/// reference resolves to the handle of the earlier element it names, so
+/// all of a command's slots share one decoded command. Null on malformed
+/// input or a reference to an id not written earlier in the message.
+template <typename List>
+core::CommandPtr read_head(Reader& r, m2p::HeadIndex& heads,
+                           const List& decoded) {
+  const std::size_t pos = decoded.size();
+  // A reference spells a command prefix: peek at its flags.
+  Reader ref = r;
+  const auto id = ref.u64();
+  const auto payload_bytes = ref.u32();
+  if (ref.u8() == kCmdRef) {
+    if (*payload_bytes != 0) return nullptr;
+    r = ref;
+    const std::size_t first = heads.first(*id, pos);
+    return first == pos ? nullptr : decoded[first].cmd;
+  }
+  auto cmd = read_command(r);
+  if (!cmd) return nullptr;
+  heads.first(cmd->id.value, pos);
+  return arena_make_shared<const core::Command>(std::move(*cmd));
+}
+
+/// Slot list of an Accept, Decide or SyncReply.
+void write_slots(Writer& w, const m2p::SlotList& slots) {
+  w.varint(slots.size());
+  m2p::HeadIndex heads(slots.size());
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const auto& s = slots[i];
+    w.u64(s.object);
+    w.u64(s.instance);
+    w.u64(s.epoch);
+    write_head(w, heads, i, *s.cmd);
+    write_batch_tail(w, s.batch);
+  }
 }
 
 void encode_body(Writer& w, const Payload& p) {
@@ -304,14 +373,7 @@ void encode_body(Writer& w, const Payload& p) {
     case kKindM2Paxos + 2: {
       const auto& m = static_cast<const m2p::Accept&>(p);
       w.u64(m.req_id);
-      w.varint(m.slots.size());
-      for (const auto& s : m.slots) {
-        w.u64(s.object);
-        w.u64(s.instance);
-        w.u64(s.epoch);
-        write_command(w, *s.cmd);
-        write_batch_tail(w, s.batch);
-      }
+      write_slots(w, m.slots);
       break;
     }
     case kKindM2Paxos + 3: {
@@ -327,18 +389,9 @@ void encode_body(Writer& w, const Payload& p) {
       }
       break;
     }
-    case kKindM2Paxos + 4: {
-      const auto& m = static_cast<const m2p::Decide&>(p);
-      w.varint(m.slots.size());
-      for (const auto& s : m.slots) {
-        w.u64(s.object);
-        w.u64(s.instance);
-        w.u64(s.epoch);
-        write_command(w, *s.cmd);
-        write_batch_tail(w, s.batch);
-      }
+    case kKindM2Paxos + 4:
+      write_slots(w, static_cast<const m2p::Decide&>(p).slots);
       break;
-    }
     case kKindM2Paxos + 5: {
       const auto& m = static_cast<const m2p::Prepare&>(p);
       w.u64(m.req_id);
@@ -356,12 +409,14 @@ void encode_body(Writer& w, const Payload& p) {
       w.u32(m.acceptor);
       w.u8(m.ack ? 1 : 0);
       w.varint(m.votes.size());
-      for (const auto& v : m.votes) {
+      m2p::HeadIndex heads(m.votes.size());
+      for (std::size_t i = 0; i < m.votes.size(); ++i) {
+        const auto& v = m.votes[i];
         w.u64(v.object);
         w.u64(v.instance);
         w.u64(v.accepted_epoch);
         w.u8(v.decided ? 1 : 0);
-        write_command(w, *v.cmd);
+        write_head(w, heads, i, *v.cmd);
         write_batch_tail(w, v.batch);
       }
       w.varint(m.delivered_floors.size());
@@ -386,18 +441,9 @@ void encode_body(Writer& w, const Payload& p) {
       }
       break;
     }
-    case kKindM2Paxos + 8: {
-      const auto& m = static_cast<const m2p::SyncReply&>(p);
-      w.varint(m.slots.size());
-      for (const auto& s : m.slots) {
-        w.u64(s.object);
-        w.u64(s.instance);
-        w.u64(s.epoch);
-        write_command(w, *s.cmd);
-        write_batch_tail(w, s.batch);
-      }
+    case kKindM2Paxos + 8:
+      write_slots(w, static_cast<const m2p::SyncReply&>(p).slots);
       break;
-    }
 
     default:
       break;  // unknown kinds encode as empty bodies
@@ -410,8 +456,9 @@ void encode_body(Writer& w, const Payload& p) {
 
 bool read_attrs(Reader& r, ep::Attrs& attrs) {
   const auto seq = r.u64();
-  const auto n = r.varint();
-  if (!seq || !n || *n > kMaxListLen) return false;
+  if (!seq) return false;
+  const auto n = read_count(r, 8);
+  if (!n) return false;
   attrs.seq = *seq;
   attrs.deps.reserve(*n);
   for (std::uint64_t i = 0; i < *n; ++i) {
@@ -422,18 +469,22 @@ bool read_attrs(Reader& r, ep::Attrs& attrs) {
   return true;
 }
 
+/// Smallest slot: header, a head reference, an empty batch tail.
+constexpr std::size_t kMinSlotBytes =
+    m2p::SlotValue::kHeaderBytes + m2p::HeadIndex::kRefBytes + 1;
+
 bool read_slots(Reader& r, m2p::SlotList& slots) {
-  const auto n = r.varint();
-  if (!n || *n > kMaxListLen) return false;
+  const auto n = read_count(r, kMinSlotBytes);
+  if (!n) return false;
   slots.reserve(*n);
+  m2p::HeadIndex heads(*n);
   for (std::uint64_t i = 0; i < *n; ++i) {
     const auto object = r.u64();
     const auto instance = r.u64();
     const auto epoch = r.u64();
     if (!object || !instance || !epoch) return false;
-    auto cmd = read_command(r);
-    if (!cmd) return false;
-    auto head = arena_make_shared<const core::Command>(std::move(*cmd));
+    auto head = read_head(r, heads, slots);
+    if (head == nullptr) return false;
     core::CommandBatchPtr batch;
     if (!read_batch_tail(r, head, batch)) return false;
     slots.push_back(m2p::SlotValue{*object, *instance, *epoch,
@@ -443,8 +494,8 @@ bool read_slots(Reader& r, m2p::SlotList& slots) {
 }
 
 bool read_hints(Reader& r, std::vector<m2p::ViewHint>& hints) {
-  const auto n = r.varint();
-  if (!n || *n > kMaxListLen) return false;
+  const auto n = read_count(r, 20);
+  if (!n) return false;
   hints.reserve(*n);
   for (std::uint64_t i = 0; i < *n; ++i) {
     const auto object = r.u64();
@@ -481,9 +532,9 @@ PayloadPtr decode_body(std::uint32_t kind, Reader& r) {
       const auto acceptor = r.u32();
       const auto ack = r.u8();
       const auto first_undelivered = r.u64();
-      const auto n = r.varint();
-      if (!ballot || !acceptor || !ack || !first_undelivered || !n ||
-          *n > kMaxListLen)
+      // Per vote: slot, ballot, a command and its tail count.
+      const auto n = read_count(r, 16 + kMinCommandBytes + 1);
+      if (!ballot || !acceptor || !ack || !first_undelivered || !n)
         return nullptr;
       m->ballot = *ballot;
       m->acceptor = *acceptor;
@@ -547,9 +598,8 @@ PayloadPtr decode_body(std::uint32_t kind, Reader& r) {
       const auto cmd_id = r.u64();
       const auto acceptor = r.u32();
       const auto cstruct = r.u32();
-      const auto n = r.varint();
-      if (!cmd_id || !acceptor || !cstruct || !n || *n > kMaxListLen)
-        return nullptr;
+      const auto n = read_count(r, 16);
+      if (!cmd_id || !acceptor || !cstruct || !n) return nullptr;
       m->cmd_id = core::CommandId{*cmd_id};
       m->acceptor = *acceptor;
       m->cstruct_bytes = *cstruct;
@@ -676,8 +726,8 @@ PayloadPtr decode_body(std::uint32_t kind, Reader& r) {
     }
     case kKindM2Paxos + 5: {
       const auto req = r.u64();
-      const auto n = r.varint();
-      if (!req || !n || *n > kMaxListLen) return nullptr;
+      const auto n = read_count(r, 24);
+      if (!req || !n) return nullptr;
       std::vector<m2p::Prepare::Entry> entries;
       for (std::uint64_t i = 0; i < *n; ++i) {
         const auto object = r.u64();
@@ -693,20 +743,22 @@ PayloadPtr decode_body(std::uint32_t kind, Reader& r) {
       const auto req = r.u64();
       const auto acceptor = r.u32();
       const auto ack = r.u8();
-      const auto n = r.varint();
-      if (!req || !acceptor || !ack || !n || *n > kMaxListLen) return nullptr;
+      // Smallest vote: header, a head reference, an empty batch tail.
+      const auto n = read_count(r, m2p::AckPrepare::Vote::kHeaderBytes +
+                                       m2p::HeadIndex::kRefBytes + 1);
+      if (!req || !acceptor || !ack || !n) return nullptr;
       m->req_id = *req;
       m->acceptor = *acceptor;
       m->ack = *ack != 0;
+      m2p::HeadIndex heads(*n);
       for (std::uint64_t i = 0; i < *n; ++i) {
         const auto object = r.u64();
         const auto instance = r.u64();
         const auto epoch = r.u64();
         const auto decided = r.u8();
         if (!object || !instance || !epoch || !decided) return nullptr;
-        auto cmd = read_command(r);
-        if (!cmd) return nullptr;
-        auto head = arena_make_shared<const core::Command>(std::move(*cmd));
+        auto head = read_head(r, heads, m->votes);
+        if (head == nullptr) return nullptr;
         core::CommandBatchPtr batch;
         if (!read_batch_tail(r, head, batch)) return nullptr;
         m->votes.push_back(m2p::AckPrepare::Vote{*object, *instance, *epoch,
@@ -714,8 +766,8 @@ PayloadPtr decode_body(std::uint32_t kind, Reader& r) {
                                                  std::move(head)});
         m->votes.back().batch = std::move(batch);
       }
-      const auto nf = r.varint();
-      if (!nf || *nf > kMaxListLen) return nullptr;
+      const auto nf = read_count(r, 16);
+      if (!nf) return nullptr;
       for (std::uint64_t i = 0; i < *nf; ++i) {
         const auto object = r.u64();
         const auto floor = r.u64();
@@ -726,8 +778,8 @@ PayloadPtr decode_body(std::uint32_t kind, Reader& r) {
       return m;
     }
     case kKindM2Paxos + 7: {
-      const auto n = r.varint();
-      if (!n || *n > kMaxListLen) return nullptr;
+      const auto n = read_count(r, 16);
+      if (!n) return nullptr;
       m2p::SyncRequest::EntryList entries;
       for (std::uint64_t i = 0; i < *n; ++i) {
         const auto object = r.u64();

@@ -11,6 +11,10 @@
 // (pending entries, payloads, slot handles, latency tracking) through
 // freelist pools.
 //
+// It also pins the wire decoder's bound on hostile element counts: a frame
+// that claims more list elements than its bytes can hold must fail before
+// it sizes a buffer from the claim.
+//
 // Debug aid: M2_ALLOC_TRACE=1 prints a symbolized backtrace for the first
 // few offending allocations instead of just the count.
 #include <atomic>
@@ -24,12 +28,15 @@
 
 #include "harness/cluster.hpp"
 #include "m2paxos/m2paxos.hpp"
+#include "net/codec.hpp"
+#include "net/serde.hpp"
 #include "sim/simulator.hpp"
 #include "workload/synthetic.hpp"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 std::atomic<bool> g_trace{false};
 std::atomic<int> g_traces_left{8};
 
@@ -55,6 +62,7 @@ void maybe_trace() {
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   maybe_trace();
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
@@ -142,8 +150,86 @@ int run_mix(const char* name,
   return 0;
 }
 
+/// Decodes one short frame whose last field is a count of 2^20 elements
+/// and checks that decoding fails having requested at most a few kB.
+int run_hostile_count(const char* name, void (*fields)(net::Writer&)) {
+  constexpr std::uint64_t kClaimed = 1 << 20;
+  constexpr std::uint64_t kMaxBytes = 4096;
+  net::Writer w;
+  fields(w);
+  w.varint(kClaimed);
+  // The first decode warms the wire arena, which takes a slab per size
+  // class on first use; the second one is measured.
+  (void)net::decode_payload(w.data());
+  const std::uint64_t before = g_allocated_bytes.load();
+  const bool decoded = net::decode_payload(w.data()) != nullptr;
+  const std::uint64_t bytes = g_allocated_bytes.load() - before;
+  std::printf("hostile_count[%s]: %zu-byte frame, %llu bytes requested\n",
+              name, w.size(), static_cast<unsigned long long>(bytes));
+  if (decoded || bytes > kMaxBytes) {
+    std::fprintf(stderr,
+                 "FAIL[%s]: a frame claiming %llu elements %s and requested "
+                 "%llu bytes (limit %llu)\n",
+                 name, static_cast<unsigned long long>(kClaimed),
+                 decoded ? "decoded" : "was rejected",
+                 static_cast<unsigned long long>(bytes),
+                 static_cast<unsigned long long>(kMaxBytes));
+    return 1;
+  }
+  return 0;
+}
+
+/// Command prefix up to its object count: id, payload bytes, flags.
+void command_prefix(net::Writer& w, std::uint8_t flags) {
+  w.u64(1);
+  w.u32(0);
+  w.u8(flags);
+}
+
+int run_hostile_counts() {
+  int rc = 0;
+  rc |= run_hostile_count("m2_accept_slots", [](net::Writer& w) {
+    w.varint(net::kKindM2Paxos + 2);
+    w.u64(1);  // req_id
+  });
+  rc |= run_hostile_count("command_objects", [](net::Writer& w) {
+    w.varint(net::kKindM2Paxos + 1);  // Propose
+    command_prefix(w, 0);
+  });
+  rc |= run_hostile_count("command_body", [](net::Writer& w) {
+    w.varint(net::kKindM2Paxos + 1);
+    command_prefix(w, 1u << 1);  // attached body
+    w.varint(0);                 // no objects
+  });
+  rc |= run_hostile_count("mp_accept_tail", [](net::Writer& w) {
+    w.varint(net::kKindMultiPaxos + 4);
+    w.u64(1);  // ballot
+    w.u64(1);  // slot
+    command_prefix(w, 0);
+    w.varint(0);
+  });
+  rc |= run_hostile_count("m2_ack_accept_hints", [](net::Writer& w) {
+    w.varint(net::kKindM2Paxos + 3);
+    w.u64(1);  // req_id
+    w.u32(0);  // acceptor
+    w.u8(0);   // nack
+  });
+  rc |= run_hostile_count("ep_attrs_deps", [](net::Writer& w) {
+    w.varint(net::kKindEPaxos + 2);  // PreAcceptReply
+    w.u64(1);  // inst
+    w.u32(0);  // acceptor
+    w.u8(0);   // changed
+    w.u64(1);  // seq
+  });
+  if (rc == 0)
+    std::printf("PASS[hostile_count]: oversized counts rejected before "
+                "allocating\n");
+  return rc;
+}
+
 int run() {
-  int rc = run_mix("fast_path", nullptr);
+  int rc = run_hostile_counts();
+  rc |= run_mix("fast_path", nullptr);
   // Batched mix: protocol-level command batching over a hot object set, so
   // the steady state exercises multi-command slot values, pooled batch
   // blocks, and pipelined accept rounds — all of which must recycle.

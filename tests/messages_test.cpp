@@ -21,10 +21,10 @@ TEST(M2Messages, AcceptGrowsPerSlot) {
   for (core::ObjectId l : c.objects) slots.push_back({l, 1, 0, c});
   m2p::Accept multi(1, slots);
   m2p::Accept single(2, {slots[0]});
-  // The encoder carries the full slot value per slot (header + command +
-  // one-byte empty batch tail); wire_size is exact against it.
+  // The command travels once per message: each further slot adds its
+  // header, a head reference and a one-byte empty batch tail.
   EXPECT_EQ(multi.wire_size() - single.wire_size(),
-            2 * slots[0].encoded_size());
+            2 * (m2p::SlotValue::kHeaderBytes + m2p::HeadIndex::kRefBytes + 1));
 }
 
 TEST(M2Messages, AcceptWithDistinctCommandsGrows) {

@@ -1,6 +1,7 @@
 // Exhaustive serde round-trip coverage: every net::Payload kind, filled
 // with seeded-random content (plus hand-picked edge variants: empty lists,
-// zero/max-length bodies, batched slot values, max-u64 fields), must
+// zero/max-length bodies, batched slot values, max-u64 fields, M²Paxos
+// slot and vote lists that repeat head commands), must
 // satisfy
 //   (1) encode_payload(p).size() == p.wire_size()          (byte-exact model)
 //   (2) decode_payload(encode_payload(p)) != nullptr        (round-trips)
@@ -27,8 +28,9 @@
 namespace m2::net {
 namespace {
 
-// Variants: 0 = minimal/empty, 1..2 = random typical, 3 = big/edge values.
-constexpr int kVariants = 4;
+// Variants: 0 = minimal/empty, 1..2 = random typical, 3 = big/edge values,
+// 4 = M²Paxos lists whose heads repeat (head back-references).
+constexpr int kVariants = 5;
 
 core::Command rand_cmd(sim::Rng& rng, int variant) {
   core::ObjectList objects;
@@ -81,11 +83,34 @@ std::vector<core::Command> rand_tail(sim::Rng& rng, int variant) {
   return tail;
 }
 
+/// Variant 4 head: mostly a command already used earlier in the list,
+/// sometimes as a separate copy with the same id, so most heads encode as
+/// references to an earlier one.
+core::CommandPtr shared_head(sim::Rng& rng,
+                             std::vector<core::CommandPtr>& used) {
+  if (used.empty() || rng.chance(0.2)) {
+    used.push_back(rand_cmd_ptr(rng, 1));
+    return used.back();
+  }
+  const auto& c = used[rng.uniform(used.size())];
+  return rng.chance(0.3) ? std::make_shared<const core::Command>(*c) : c;
+}
+
+/// Length of a slot or vote list; variant 4 runs past the head index's
+/// inline scan (16) into its hashed form.
+std::size_t rand_list_len(sim::Rng& rng, int variant, std::size_t typical) {
+  if (variant == 0) return 0;
+  return variant == 4 ? 2 + rng.uniform(39) : 1 + rng.uniform(typical);
+}
+
 m2p::SlotList rand_slots(sim::Rng& rng, int variant) {
   m2p::SlotList slots;
-  const std::size_t n = variant == 0 ? 0 : 1 + rng.uniform(4);
+  std::vector<core::CommandPtr> used;
+  const std::size_t n = rand_list_len(rng, variant, 4);
   for (std::size_t i = 0; i < n; ++i) {
-    auto head = rand_cmd_ptr(rng, variant == 3 && i == 0 ? 3 : 1);
+    auto head = variant == 4
+                    ? shared_head(rng, used)
+                    : rand_cmd_ptr(rng, variant == 3 && i == 0 ? 3 : 1);
     auto batch = rand_batch(rng, variant, head);
     slots.emplace_back(rng.next(), rng.next(), rng.next(), std::move(head),
                        std::move(batch));
@@ -247,9 +272,10 @@ std::vector<Factory> all_factories() {
     m->req_id = rng.next();
     m->acceptor = static_cast<NodeId>(rng.uniform(1024));
     m->ack = rng.chance(0.5);
-    const std::size_t n = v == 0 ? 0 : 1 + rng.uniform(3);
+    std::vector<core::CommandPtr> used;
+    const std::size_t n = rand_list_len(rng, v, 3);
     for (std::size_t i = 0; i < n; ++i) {
-      auto head = rand_cmd_ptr(rng, v);
+      auto head = v == 4 ? shared_head(rng, used) : rand_cmd_ptr(rng, v);
       m->votes.push_back({rng.next(), rng.next(), rng.next(),
                           rng.chance(0.5), head});
       m->votes.back().batch = rand_batch(rng, v, head);

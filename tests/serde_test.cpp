@@ -270,6 +270,219 @@ TEST(Serde, M2PaxosBatchTails) {
   }
 }
 
+TEST(Serde, M2PaxosSharedHeadsDecodeToOneHandle) {
+  // A multi-object command travels once per message: every later slot or
+  // vote of the same command is a reference, and the decoder resolves all
+  // of them to the one handle it decoded.
+  const auto c = std::make_shared<const core::Command>(cmd(2, 11, {3, 8, 9}));
+  const auto other = std::make_shared<const core::Command>(cmd(1, 4, {5}));
+  m2p::SlotList slots;
+  slots.emplace_back(3, 1, 2, c);
+  slots.emplace_back(5, 7, 2, other);
+  slots.emplace_back(8, 4, 2, c);
+  // A by-value copy of the command shares the id, so it is a reference too.
+  slots.emplace_back(9, 6, 2, *c);
+
+  auto check_slots = [&](const m2p::SlotList& back) {
+    ASSERT_EQ(back.size(), 4u);
+    EXPECT_EQ(back[0].cmd->objects, c->objects);
+    EXPECT_EQ(back[0].cmd.get(), back[2].cmd.get());
+    EXPECT_EQ(back[0].cmd.get(), back[3].cmd.get());
+    EXPECT_NE(back[0].cmd.get(), back[1].cmd.get());
+    EXPECT_EQ(back[1].cmd->id, other->id);
+    EXPECT_EQ(back[3].instance, 6u);
+  };
+  const std::size_t full_copies = 4 * m2p::SlotValue::kHeaderBytes +
+                                  3 * c->wire_size() + other->wire_size() +
+                                  4;  // empty batch tails
+  {
+    const m2p::Accept a(99, slots);
+    EXPECT_EQ(a.wire_size(), encode_payload(a).size());
+    EXPECT_EQ(a.wire_size(), 2 + 8 + 1 + full_copies -
+                                 2 * (c->wire_size() -
+                                      m2p::HeadIndex::kRefBytes));
+    check_slots(round_trip(a)->slots);
+  }
+  check_slots(round_trip(m2p::Decide(slots))->slots);
+  check_slots(round_trip(m2p::SyncReply(slots))->slots);
+  {
+    m2p::AckPrepare a;
+    a.req_id = 7;
+    a.acceptor = 0;
+    a.ack = true;
+    a.votes.push_back({3, 1, 4, true, c});
+    a.votes.push_back({5, 7, 4, false, other});
+    a.votes.push_back({8, 4, 4, true, c});
+    EXPECT_EQ(a.wire_size(), encode_payload(a).size());
+    const auto back = round_trip(a);
+    ASSERT_EQ(back->votes.size(), 3u);
+    EXPECT_EQ(back->votes[0].cmd.get(), back->votes[2].cmd.get());
+    EXPECT_NE(back->votes[0].cmd.get(), back->votes[1].cmd.get());
+    EXPECT_FALSE(back->votes[1].decided);
+  }
+}
+
+TEST(Serde, M2PaxosLongVoteListSharesHeads) {
+  // Past the inline scan limit the head index hashes; references must
+  // still resolve to the first head with their id.
+  m2p::AckPrepare a;
+  a.req_id = 1;
+  a.ack = true;
+  std::vector<core::CommandPtr> cmds;
+  for (std::uint64_t i = 0; i < 7; ++i)
+    cmds.push_back(std::make_shared<const core::Command>(
+        cmd(1, i + 1, {i, i + 100})));
+  for (std::uint64_t i = 0; i < 300; ++i)
+    a.votes.push_back({i % 50, i, 3, true, cmds[i % cmds.size()]});
+  EXPECT_EQ(a.wire_size(), encode_payload(a).size());
+  const auto back = round_trip(a);
+  ASSERT_EQ(back->votes.size(), 300u);
+  for (std::size_t i = 0; i < back->votes.size(); ++i) {
+    EXPECT_EQ(back->votes[i].cmd.get(), back->votes[i % 7].cmd.get()) << i;
+    EXPECT_EQ(back->votes[i].cmd->id, cmds[i % 7]->id) << i;
+  }
+}
+
+/// A head back-reference as the encoder writes it: id, zero payload bytes,
+/// and the reference flag.
+void write_ref(Writer& w, core::CommandId id, std::uint32_t payload = 0) {
+  w.u64(id.value);
+  w.u32(payload);
+  w.u8(1u << 2);
+}
+
+void write_slot_header(Writer& w, core::ObjectId object) {
+  w.u64(object);
+  w.u64(1);
+  w.u64(2);
+}
+
+TEST(Serde, M2PaxosDanglingOrMisplacedReferenceRejected) {
+  const auto c = cmd(2, 11, {3, 8});
+  const auto accept_kind = m2p::Accept(0, {}).kind();
+  {
+    // The well-formed shape decodes: full head, then a reference.
+    Writer w;
+    w.varint(accept_kind);
+    w.u64(99);
+    w.varint(2);
+    write_slot_header(w, 3);
+    write_command(w, c);
+    w.varint(0);
+    write_slot_header(w, 8);
+    write_ref(w, c.id);
+    w.varint(0);
+    EXPECT_NE(decode_payload(w.data()), nullptr);
+  }
+  {
+    // A reference to an id no earlier head carries.
+    Writer w;
+    w.varint(accept_kind);
+    w.u64(99);
+    w.varint(1);
+    write_slot_header(w, 3);
+    write_ref(w, c.id);
+    w.varint(0);
+    EXPECT_EQ(decode_payload(w.data()), nullptr);
+  }
+  {
+    // A reference may only point backwards.
+    Writer w;
+    w.varint(accept_kind);
+    w.u64(99);
+    w.varint(2);
+    write_slot_header(w, 3);
+    write_ref(w, c.id);
+    w.varint(0);
+    write_slot_header(w, 8);
+    write_command(w, c);
+    w.varint(0);
+    EXPECT_EQ(decode_payload(w.data()), nullptr);
+  }
+  {
+    // A reference with payload bytes is malformed.
+    Writer w;
+    w.varint(accept_kind);
+    w.u64(99);
+    w.varint(2);
+    write_slot_header(w, 3);
+    write_command(w, c);
+    w.varint(0);
+    write_slot_header(w, 8);
+    write_ref(w, c.id, 16);
+    w.varint(0);
+    EXPECT_EQ(decode_payload(w.data()), nullptr);
+  }
+  {
+    // A batch-tail member is never a reference, even to a known head.
+    Writer w;
+    w.varint(accept_kind);
+    w.u64(99);
+    w.varint(1);
+    write_slot_header(w, 3);
+    write_command(w, c);
+    w.varint(1);
+    write_ref(w, c.id);
+    EXPECT_EQ(decode_payload(w.data()), nullptr);
+  }
+  {
+    // Nor is a forwarded M²Paxos command.
+    Writer w;
+    w.varint(m2p::Propose(c).kind());
+    write_ref(w, c.id);
+    EXPECT_EQ(decode_payload(w.data()), nullptr);
+  }
+  {
+    // Nor a Multi-Paxos command.
+    Writer w;
+    w.varint(mp::Accept(1, 1, c).kind());
+    w.u64(3);
+    w.u64(8);
+    write_ref(w, c.id);
+    w.varint(0);
+    EXPECT_EQ(decode_payload(w.data()), nullptr);
+  }
+  {
+    // Nor an EPaxos command.
+    Writer w;
+    w.varint(ep::PreAccept(1, c, {}).kind());
+    w.u64(ep::make_inst(0, 3));
+    write_ref(w, c.id);
+    w.u64(12);
+    w.varint(0);
+    EXPECT_EQ(decode_payload(w.data()), nullptr);
+  }
+}
+
+TEST(Serde, M2PaxosDistinctHeadsEncodingIsPinned) {
+  // The batched fast path sends slots with distinct heads. Their encoding
+  // is the full command per slot, byte for byte as before head references
+  // existed: a message with no repeated head must never change.
+  const auto h = std::make_shared<const core::Command>(cmd(1, 1, {7}, 4));
+  const auto t = std::make_shared<const core::Command>(cmd(1, 2, {7}, 4));
+  const auto g = std::make_shared<const core::Command>(cmd(2, 3, {9}, 4));
+  auto batch = std::make_shared<core::CommandBatch>();
+  batch->cmds.push_back(h);
+  batch->cmds.push_back(t);
+  m2p::SlotList slots;
+  slots.emplace_back(7, 5, 3, h, batch);
+  slots.emplace_back(9, 6, 3, g);
+  const std::vector<std::uint8_t> pinned = {
+      0x92, 0x03, 0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x07,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+      0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00,
+      0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x04, 0x00,
+      0x00, 0x00, 0x00, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x20, 0x00, 0x00,
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x01, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  EXPECT_EQ(encode_payload(m2p::Accept(42, slots)), pinned);
+}
+
 TEST(Serde, MultiPaxosBatchTails) {
   auto h = cmd(0, 1, {3});
   auto t1 = cmd(0, 2, {3});
