@@ -1,5 +1,7 @@
 #include "core/command.hpp"
 
+#include "net/wire.hpp"
+
 #include <algorithm>
 #include <sstream>
 
@@ -37,10 +39,10 @@ std::string Command::to_string() const {
   return os.str();
 }
 
-std::size_t wire_size_of(const std::vector<Command>& cmds) {
-  std::size_t total = 0;
-  for (const auto& c : cmds) total += c.wire_size();
-  return total;
+std::size_t Command::wire_size() const {
+  net::Counter n;
+  net::Codec<Command>::put(n, *this);
+  return n.size();
 }
 
 }  // namespace m2::core

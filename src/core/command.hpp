@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/small_vec.hpp"
-#include "net/codec.hpp"
 #include "net/payload.hpp"
 
 namespace m2::core {
@@ -78,25 +77,13 @@ struct Command {
   /// True iff the two commands access at least one common object.
   bool conflicts_with(const Command& other) const;
 
-  /// Exact serialized size, byte-for-byte what net::serde emits: id +
-  /// payload_bytes + flags + object list + payload. A command without an
-  /// attached body still carries payload_bytes of (zero) padding on the
-  /// wire — the payload is opaque to consensus but its bytes are real.
-  std::size_t wire_size() const {
-    std::size_t bytes = 8 + 4 + 1 + net::varint_len(objects.size()) +
-                        8 * objects.size();
-    if (body != nullptr)
-      bytes += net::varint_len(body->size()) + body->size();
-    else
-      bytes += payload_bytes;
-    return bytes;
-  }
+  /// Exact serialized size: net::serde's command codec, counted (the
+  /// payload is opaque to consensus, but without an attached body it still
+  /// travels as payload_bytes of padding).
+  std::size_t wire_size() const;
 
   std::string to_string() const;
 };
-
-/// Sums the wire sizes of a span of commands (used by message size models).
-std::size_t wire_size_of(const std::vector<Command>& cmds);
 
 /// Shared immutable command handle: one allocation carries a command along
 /// the whole replication path (Accept -> acceptor slots -> Decide -> slot
@@ -117,25 +104,6 @@ using CommandPtr = std::shared_ptr<const Command>;
 struct CommandBatch {
   static constexpr std::size_t kCapacity = 32;
   SmallVec<CommandPtr, kCapacity> cmds;
-
-  /// Serialized size of the members beyond the head. The head command is
-  /// carried (and size-accounted) by the enclosing slot/message exactly as
-  /// an unbatched value would be; the tail rides behind it.
-  std::size_t tail_wire_size() const {
-    std::size_t bytes = 0;
-    for (std::size_t i = 1; i < cmds.size(); ++i)
-      bytes += cmds[i]->wire_size();
-    return bytes;
-  }
-
-  /// Exact wire bytes of the tail framing + tail members as net::serde
-  /// emits them behind a slot/vote head: a varint member count (0 when
-  /// `batch` is null or single-command — one byte) then the tail commands.
-  static std::size_t tail_encoded_size(
-      const std::shared_ptr<const CommandBatch>& batch) {
-    if (batch == nullptr || batch->cmds.size() <= 1) return 1;
-    return net::varint_len(batch->cmds.size() - 1) + batch->tail_wire_size();
-  }
 };
 
 /// Shared immutable batch handle; null wherever a slot holds a plain

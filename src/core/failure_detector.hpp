@@ -5,20 +5,19 @@
 
 #include "core/config.hpp"
 #include "core/replica.hpp"
-#include "net/payload.hpp"
+#include "net/wire.hpp"
 #include "sim/time.hpp"
 
 namespace m2::core {
 
 /// Heartbeat message exchanged by the failure detector.
-struct Heartbeat final : net::Payload {
+struct Heartbeat final : net::Message<Heartbeat, net::kKindCommon + 1> {
+  static constexpr const char* kName = "Heartbeat";
+  Heartbeat() = default;
   explicit Heartbeat(NodeId s) : sender(s) {}
-  NodeId sender;
-  std::uint32_t kind() const override { return net::kKindCommon + 1; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + 4;
-  }
-  const char* name() const override { return "Heartbeat"; }
+  NodeId sender = kNoNode;
+
+  static auto fields(auto& m, auto& v) { return v(m.sender); }
 };
 
 /// Eventually-perfect failure detector (◇P-style) built from periodic

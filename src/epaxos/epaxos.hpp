@@ -10,6 +10,7 @@
 #include "core/command.hpp"
 #include "core/config.hpp"
 #include "core/replica.hpp"
+#include "net/wire.hpp"
 #include "sim/time.hpp"
 #include "epaxos/graph.hpp"
 
@@ -31,71 +32,65 @@ struct Attrs {
   bool operator==(const Attrs& o) const {
     return seq == o.seq && deps == o.deps;
   }
-  std::size_t wire_size() const {
-    return 8 + net::varint_len(deps.size()) + 8 * deps.size();
-  }
+  static auto fields(auto& m, auto& v) { return v(m.seq, m.deps); }
 };
 
-struct PreAccept final : net::Payload {
+struct PreAccept final : net::Message<PreAccept, net::kKindEPaxos + 1> {
+  static constexpr const char* kName = "EP.PreAccept";
+  PreAccept() = default;
   PreAccept(InstRef i, Command c, Attrs a)
       : inst(i), cmd(std::move(c)), attrs(std::move(a)) {}
-  InstRef inst;
+  InstRef inst = 0;
   Command cmd;
   Attrs attrs;
-  std::uint32_t kind() const override { return net::kKindEPaxos + 1; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + 8 + cmd.wire_size() + attrs.wire_size();
-  }
-  const char* name() const override { return "EP.PreAccept"; }
+
+  static auto fields(auto& m, auto& v) { return v(m.inst, m.cmd, m.attrs); }
 };
 
-struct PreAcceptReply final : net::Payload {
+struct PreAcceptReply final
+    : net::Message<PreAcceptReply, net::kKindEPaxos + 2> {
+  static constexpr const char* kName = "EP.PreAcceptReply";
   InstRef inst = 0;
   NodeId acceptor = kNoNode;
   bool changed = false;  // acceptor extended seq/deps
   Attrs attrs;
-  std::uint32_t kind() const override { return net::kKindEPaxos + 2; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + 8 + 4 + 1 + attrs.wire_size();
+
+  static auto fields(auto& m, auto& v) {
+    return v(m.inst, m.acceptor, m.changed, m.attrs);
   }
-  const char* name() const override { return "EP.PreAcceptReply"; }
 };
 
 /// Paxos-Accept of the slow path, carrying the unioned attributes.
-struct AcceptMsg final : net::Payload {
+struct AcceptMsg final : net::Message<AcceptMsg, net::kKindEPaxos + 3> {
+  static constexpr const char* kName = "EP.Accept";
+  AcceptMsg() = default;
   AcceptMsg(InstRef i, Command c, Attrs a)
       : inst(i), cmd(std::move(c)), attrs(std::move(a)) {}
-  InstRef inst;
+  InstRef inst = 0;
   Command cmd;
   Attrs attrs;
-  std::uint32_t kind() const override { return net::kKindEPaxos + 3; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + 8 + cmd.wire_size() + attrs.wire_size();
-  }
-  const char* name() const override { return "EP.Accept"; }
+
+  static auto fields(auto& m, auto& v) { return v(m.inst, m.cmd, m.attrs); }
 };
 
-struct AcceptReply final : net::Payload {
+struct AcceptReply final : net::Message<AcceptReply, net::kKindEPaxos + 4> {
+  static constexpr const char* kName = "EP.AcceptReply";
   InstRef inst = 0;
   NodeId acceptor = kNoNode;
-  std::uint32_t kind() const override { return net::kKindEPaxos + 4; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + 12;
-  }
-  const char* name() const override { return "EP.AcceptReply"; }
+
+  static auto fields(auto& m, auto& v) { return v(m.inst, m.acceptor); }
 };
 
-struct CommitMsg final : net::Payload {
+struct CommitMsg final : net::Message<CommitMsg, net::kKindEPaxos + 5> {
+  static constexpr const char* kName = "EP.Commit";
+  CommitMsg() = default;
   CommitMsg(InstRef i, Command c, Attrs a)
       : inst(i), cmd(std::move(c)), attrs(std::move(a)) {}
-  InstRef inst;
+  InstRef inst = 0;
   Command cmd;
   Attrs attrs;
-  std::uint32_t kind() const override { return net::kKindEPaxos + 5; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + 8 + cmd.wire_size() + attrs.wire_size();
-  }
-  const char* name() const override { return "EP.Commit"; }
+
+  static auto fields(auto& m, auto& v) { return v(m.inst, m.cmd, m.attrs); }
 };
 
 // ---------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include "core/command.hpp"
 #include "core/config.hpp"
 #include "core/replica.hpp"
+#include "net/wire.hpp"
 #include "sim/time.hpp"
 
 namespace m2::gp {
@@ -24,96 +25,94 @@ using core::ObjectId;
 
 /// Fast round: the proposer bypasses the leader and broadcasts directly to
 /// the acceptors (as in Fast/Generalized Paxos).
-struct FastPropose final : net::Payload {
+struct FastPropose final : net::Message<FastPropose, net::kKindGenPaxos + 1> {
+  static constexpr const char* kName = "GP.FastPropose";
+  FastPropose() = default;
   explicit FastPropose(Command c) : cmd(std::move(c)) {}
   Command cmd;
-  std::uint32_t kind() const override { return net::kKindGenPaxos + 1; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + cmd.wire_size();
-  }
-  const char* name() const override { return "GP.FastPropose"; }
+
+  static auto fields(auto& m, auto& v) { return v(m.cmd); }
 };
 
 /// Acceptor's vote: for every object of the command, the predecessor
 /// command the acceptor appended before it (its c-struct tail on that
 /// object). `cstruct_bytes` models the c-struct suffix that real
 /// Generalized Paxos acceptors ship with every vote — the protocol's
-/// dominant bandwidth overhead.
-struct FastAck final : net::Payload {
+/// dominant bandwidth overhead — and travels as that many bytes of
+/// padding, so the encoded frame weighs what the model claims.
+struct FastAck final : net::Message<FastAck, net::kKindGenPaxos + 2> {
+  static constexpr const char* kName = "GP.FastAck";
   struct Pred {
     ObjectId object = 0;
     CommandId pred;  // invalid id == no predecessor
+
+    static auto fields(auto& m, auto& v) { return v(m.object, m.pred); }
   };
   CommandId cmd_id;
   NodeId acceptor = kNoNode;
   std::vector<Pred> preds;
   std::uint32_t cstruct_bytes = 0;
 
-  std::uint32_t kind() const override { return net::kKindGenPaxos + 2; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + 8 + 4 + 4 +
-           net::varint_len(preds.size()) + 16 * preds.size() + cstruct_bytes;
+  static auto fields(auto& m, auto& v) {
+    return v(m.cmd_id, m.acceptor, m.cstruct_bytes, m.preds,
+             net::padding(m.cstruct_bytes));
   }
-  const char* name() const override { return "GP.FastAck"; }
 };
 
 /// Fast-quorum agreement reached: the proposer asks the leader to sequence
 /// the command (the leader is the single learner coordinator).
-struct CommitNotify final : net::Payload {
+struct CommitNotify final
+    : net::Message<CommitNotify, net::kKindGenPaxos + 3> {
+  static constexpr const char* kName = "GP.CommitNotify";
+  CommitNotify() = default;
   explicit CommitNotify(Command c) : cmd(std::move(c)) {}
   Command cmd;
-  std::uint32_t kind() const override { return net::kKindGenPaxos + 3; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + cmd.wire_size();
-  }
-  const char* name() const override { return "GP.CommitNotify"; }
+
+  static auto fields(auto& m, auto& v) { return v(m.cmd); }
 };
 
 /// Collision: acceptors voted with different predecessors; the leader must
 /// serialize the command through a classic round.
-struct ResolveReq final : net::Payload {
+struct ResolveReq final : net::Message<ResolveReq, net::kKindGenPaxos + 4> {
+  static constexpr const char* kName = "GP.ResolveReq";
+  ResolveReq() = default;
   explicit ResolveReq(Command c) : cmd(std::move(c)) {}
   Command cmd;
-  std::uint32_t kind() const override { return net::kKindGenPaxos + 4; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + cmd.wire_size();
-  }
-  const char* name() const override { return "GP.ResolveReq"; }
+
+  static auto fields(auto& m, auto& v) { return v(m.cmd); }
 };
 
 /// Classic round phase-2a run by the leader for collided commands.
-struct SlowAccept final : net::Payload {
+struct SlowAccept final : net::Message<SlowAccept, net::kKindGenPaxos + 5> {
+  static constexpr const char* kName = "GP.SlowAccept";
+  SlowAccept() = default;
   SlowAccept(std::uint64_t b, Command c) : ballot(b), cmd(std::move(c)) {}
-  std::uint64_t ballot;
+  std::uint64_t ballot = 0;
   Command cmd;
-  std::uint32_t kind() const override { return net::kKindGenPaxos + 5; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + 8 + cmd.wire_size();
-  }
-  const char* name() const override { return "GP.SlowAccept"; }
+
+  static auto fields(auto& m, auto& v) { return v(m.ballot, m.cmd); }
 };
 
-struct SlowAck final : net::Payload {
+struct SlowAck final : net::Message<SlowAck, net::kKindGenPaxos + 6> {
+  static constexpr const char* kName = "GP.SlowAck";
   std::uint64_t ballot = 0;
   CommandId cmd_id;
   NodeId acceptor = kNoNode;
-  std::uint32_t kind() const override { return net::kKindGenPaxos + 6; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + 20;
+
+  static auto fields(auto& m, auto& v) {
+    return v(m.ballot, m.cmd_id, m.acceptor);
   }
-  const char* name() const override { return "GP.SlowAck"; }
 };
 
 /// Leader-assigned delivery position, broadcast to all learners.
-struct Sequence final : net::Payload {
+struct Sequence final : net::Message<Sequence, net::kKindGenPaxos + 7> {
+  static constexpr const char* kName = "GP.Sequence";
+  Sequence() = default;
   Sequence(std::uint64_t i, Command c) : index(i), cmd(std::move(c)) {}
-  std::uint64_t index;
+  std::uint64_t index = 0;
   Command cmd;
-  std::uint32_t kind() const override { return net::kKindGenPaxos + 7; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + 8 + cmd.wire_size();
-  }
-  const char* name() const override { return "GP.Sequence"; }
+
+  static auto fields(auto& m, auto& v) { return v(m.index, m.cmd); }
 };
 
 // ---------------------------------------------------------------------

@@ -24,30 +24,6 @@ static_assert(core::ClusterConfig::Batching::kMaxBatchCommands <=
 /// (one multi-command slot per object touched by the flush).
 constexpr std::size_t kMaxSlotsPerBatchRound = 8;
 
-/// Exact wire bytes of the heads and batch tails of a slot or vote list:
-/// a head repeated from an earlier element is charged as a reference,
-/// byte for byte what net::serde emits.
-template <typename List>
-std::size_t heads_and_tails_wire_size(const List& values) {
-  HeadIndex heads(values.size());
-  std::size_t bytes = 0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const auto& v = values[i];
-    bytes += heads.first(v.cmd->id.value, i) == i ? v.cmd->wire_size()
-                                                  : HeadIndex::kRefBytes;
-    bytes += core::CommandBatch::tail_encoded_size(v.batch);
-  }
-  return bytes;
-}
-
-/// Exact wire size of an encoded slot list: the varint slot count, then
-/// per slot its header, head command (or reference) and batch tail.
-std::size_t slots_wire_size(const SlotList& slots) {
-  return net::varint_len(slots.size()) +
-         SlotValue::kHeaderBytes * slots.size() +
-         heads_and_tails_wire_size(slots);
-}
-
 }  // namespace
 
 void HeadIndex::use_table(std::size_t n_heads) {
@@ -74,36 +50,6 @@ std::size_t HeadIndex::first_hashed(std::uint64_t id, std::size_t pos) {
     }
     if (e.id == id) return e.pos;
   }
-}
-
-std::size_t Accept::wire_size() const {
-  if (cached_size_ == SIZE_MAX)
-    cached_size_ = net::varint_len(kind()) + 8 + slots_wire_size(slots);
-  return cached_size_;
-}
-
-std::size_t Decide::wire_size() const {
-  if (cached_size_ == SIZE_MAX)
-    cached_size_ = net::varint_len(kind()) + slots_wire_size(slots);
-  return cached_size_;
-}
-
-std::size_t SyncReply::wire_size() const {
-  if (cached_size_ == SIZE_MAX)
-    cached_size_ = net::varint_len(kind()) + slots_wire_size(slots);
-  return cached_size_;
-}
-
-std::size_t AckPrepare::wire_size() const {
-  if (cached_size_ == SIZE_MAX)
-    cached_size_ = net::varint_len(kind()) + 8 + 4 + 1 +
-                   net::varint_len(votes.size()) +
-                   Vote::kHeaderBytes * votes.size() +
-                   heads_and_tails_wire_size(votes) +
-                   net::varint_len(delivered_floors.size()) +
-                   16 * delivered_floors.size() +
-                   net::varint_len(hints.size()) + 20 * hints.size();
-  return cached_size_;
 }
 
 M2PaxosReplica::M2PaxosReplica(NodeId id, const core::ClusterConfig& cfg,

@@ -10,6 +10,7 @@
 
 #include "core/command.hpp"
 #include "net/payload.hpp"
+#include "net/wire.hpp"
 
 namespace m2::m2p {
 
@@ -52,15 +53,20 @@ struct SlotValue {
         cmd(std::make_shared<const Command>(std::move(c))) {}
 
   static constexpr std::size_t kHeaderBytes = 24;  // object+instance+epoch
+
+  /// On the wire only inside a HeadList: the head may be a reference.
+  static auto fields(auto& m, auto& v) {
+    return v(m.object, m.instance, m.epoch, net::batched(m.cmd, m.batch));
+  }
 };
 
 /// Head back-references on the wire. Within one Accept, Decide or
 /// SyncReply slot list, or one AckPrepare vote list, the first head with a
 /// given command id is written in full and every later head with that id
-/// as a kRefBytes reference to it (net/serde.cpp), so a multi-object
+/// as a kRefBytes reference to it (HeadList below), so a multi-object
 /// command travels once per message, as in the paper's Algorithm 2. The
-/// encoder, the decoder and wire_size() all ask this index, so they apply
-/// one rule. Lists of up to kInline heads are scanned on the stack; longer
+/// encoder, the decoder and wire_size() all run HeadList's one codec over
+/// this index. Lists of up to kInline heads are scanned on the stack; longer
 /// ones (AckPrepare votes while delivery stalls) hash into a per-thread
 /// table, so no use allocates in steady state or is quadratic in the list
 /// length.
@@ -107,31 +113,139 @@ class HeadIndex {
 /// to 8 per-object slots into one round without spilling.
 using SlotList = core::SmallVec<SlotValue, 8>;
 
+/// A slot or vote list on the wire: a varint count, then each element's
+/// fields, with every head after the first of its command id written as a
+/// reference:
+///   u64 id | u32 0 | u8 kRef
+/// A reference resolves to the handle of the earlier element it names, so
+/// all of a command's slots share one decoded command.
+template <typename List>
+struct HeadList {
+  List& list;
+};
+
+template <typename List>
+HeadList<List> head_list(List& list) {
+  return {list};
+}
+
+}  // namespace m2::m2p
+
+namespace m2::net {
+
+template <typename List>
+struct Codec<m2p::HeadList<List>> {
+  using Elem = std::remove_const_t<typename List::value_type>;
+  using CommandCodec = Codec<core::Command>;
+  static_assert(m2p::HeadIndex::kRefBytes == 8 + 4 + 1,
+                "a reference is a command prefix with no objects or payload");
+  static constexpr std::size_t kMinBytes = 1;
+
+  /// Element visitor that writes or counts a Batched head per the index.
+  template <typename Out>
+  struct HeadEncoder {
+    Out& out;
+    m2p::HeadIndex& heads;
+    std::size_t pos;
+    template <typename... F>
+    void operator()(const F&... f) const { (put(f), ...); }
+    template <typename F>
+    void put(const F& f) const { Codec<F>::put(out, f); }
+    template <typename H, typename B>
+    void put(const Batched<H, B>& v) const {
+      if (heads.first(v.head->id.value, pos) == pos) {
+        CommandCodec::put(out, *v.head);
+      } else {
+        out.u64(v.head->id.value);
+        out.u32(0);
+        out.u8(CommandCodec::kRef);
+      }
+      put_tail(out, v.batch);
+    }
+  };
+
+  /// Element visitor that resolves a Batched head against the elements
+  /// decoded so far.
+  struct HeadDecoder {
+    Reader& r;
+    m2p::HeadIndex& heads;
+    const List& decoded;
+    std::size_t pos;
+    template <typename... F>
+    bool operator()(F&&... f) const { return (get(f) && ...); }
+    template <typename F>
+    bool get(F& f) const { return Codec<F>::get(r, f); }
+    template <typename H, typename B>
+    bool get(Batched<H, B>& v) const {
+      // A reference spells a command prefix: peek at its flags. A
+      // truncated prefix is no reference; the full read below rejects it.
+      Reader ref = r;
+      const auto id = ref.u64();
+      const auto payload_bytes = ref.u32();
+      const auto flags = ref.u8();
+      if (id && payload_bytes && flags == CommandCodec::kRef) {
+        if (*payload_bytes != 0) return false;
+        r = ref;
+        const std::size_t first = heads.first(*id, pos);
+        if (first == pos) return false;  // names no earlier head
+        v.head = decoded[first].cmd;
+      } else {
+        if (!get_command_ptr(r, v.head)) return false;
+        heads.first(v.head->id.value, pos);
+      }
+      return get_tail(r, v.head, v.batch);
+    }
+  };
+
+  template <typename Out>
+  static void put(Out& o, const m2p::HeadList<List>& l) {
+    o.varint(l.list.size());
+    m2p::HeadIndex heads(l.list.size());
+    for (std::size_t i = 0; i < l.list.size(); ++i) {
+      const HeadEncoder<Out> e{o, heads, i};
+      Elem::fields(l.list[i], e);
+    }
+  }
+
+  static bool get(Reader& r, m2p::HeadList<List> l) {
+    const auto n = read_count(r, Codec<Elem>::kMinBytes);
+    if (!n) return false;
+    l.list.reserve(*n);
+    m2p::HeadIndex heads(*n);
+    for (std::size_t i = 0; i < *n; ++i) {
+      const HeadDecoder d{r, heads, l.list, i};
+      if (!Elem::fields(l.list.emplace_back(), d)) return false;
+    }
+    return true;
+  }
+};
+
+}  // namespace m2::net
+
+namespace m2::m2p {
+
 /// Forwarding of a command to the node owning all its objects (§IV-B).
-struct Propose final : net::Payload {
+struct Propose final : net::Message<Propose, net::kKindM2Paxos + 1> {
+  static constexpr const char* kName = "M2.Propose";
+  Propose() = default;
   explicit Propose(Command c) : cmd(std::move(c)) {}
   Command cmd;
 
-  std::uint32_t kind() const override { return net::kKindM2Paxos + 1; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + cmd.wire_size();
-  }
-  const char* name() const override { return "M2.Propose"; }
+  static auto fields(auto& m, auto& v) { return v(m.cmd); }
 };
 
 /// Phase-2a over a set of slots. `req_id` correlates replies with the
 /// outstanding accept round at the proposer.
-struct Accept final : net::Payload {
+struct Accept final : net::Message<Accept, net::kKindM2Paxos + 2, true> {
+  static constexpr const char* kName = "M2.Accept";
+  Accept() = default;
   Accept(std::uint64_t rid, SlotList s) : req_id(rid), slots(std::move(s)) {}
-  std::uint64_t req_id;
+  std::uint64_t req_id = 0;
   SlotList slots;
 
-  std::uint32_t kind() const override { return net::kKindM2Paxos + 2; }
-  std::size_t wire_size() const override;  // cached; payloads are immutable
-  const char* name() const override { return "M2.Accept"; }
-
- private:
-  mutable std::size_t cached_size_ = SIZE_MAX;
+  static auto fields(auto& m, auto& v) {
+    return v(m.req_id, head_list(m.slots));
+  }
 };
 
 /// Per-object view hint piggybacked on NACKs so a stale proposer converges
@@ -140,63 +254,65 @@ struct ViewHint {
   ObjectId object = 0;
   Epoch epoch = 0;
   NodeId owner = kNoNode;
+
+  static auto fields(auto& m, auto& v) {
+    return v(m.object, m.epoch, m.owner);
+  }
 };
 
 /// Phase-2b reply. ACKs go to the proposer only (learning optimization over
 /// the pseudocode's ack-to-all; the proposer then broadcasts Decide).
-struct AckAccept final : net::Payload {
+struct AckAccept final : net::Message<AckAccept, net::kKindM2Paxos + 3> {
+  static constexpr const char* kName = "M2.AckAccept";
   std::uint64_t req_id = 0;
   NodeId acceptor = kNoNode;
   bool ack = false;
   std::vector<ViewHint> hints;  // populated on NACK
 
-  std::uint32_t kind() const override { return net::kKindM2Paxos + 3; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + 8 + 4 + 1 +
-           net::varint_len(hints.size()) + 20 * hints.size();
+  static auto fields(auto& m, auto& v) {
+    return v(m.req_id, m.acceptor, m.ack, m.hints);
   }
-  const char* name() const override { return "M2.AckAccept"; }
 };
 
 /// Learn message: the decided command per slot, broadcast by the proposer
 /// once a classic quorum of ACKs arrived.
-struct Decide final : net::Payload {
+struct Decide final : net::Message<Decide, net::kKindM2Paxos + 4, true> {
+  static constexpr const char* kName = "M2.Decide";
+  Decide() = default;
   explicit Decide(SlotList s) : slots(std::move(s)) {}
   SlotList slots;
 
-  std::uint32_t kind() const override { return net::kKindM2Paxos + 4; }
-  std::size_t wire_size() const override;  // cached; payloads are immutable
-  const char* name() const override { return "M2.Decide"; }
-
- private:
-  mutable std::size_t cached_size_ = SIZE_MAX;
+  static auto fields(auto& m, auto& v) { return v(head_list(m.slots)); }
 };
 
 /// Phase-1a of the ownership acquisition (§IV-C): for each object, claim
 /// every instance >= `from_instance` at `epoch` (suffix-covering promise,
 /// exactly a Multi-Paxos prepare per object incarnation).
-struct Prepare final : net::Payload {
+struct Prepare final : net::Message<Prepare, net::kKindM2Paxos + 5> {
+  static constexpr const char* kName = "M2.Prepare";
   struct Entry {
     ObjectId object = 0;
     Instance from_instance = 1;
     Epoch epoch = 0;
+
+    static auto fields(auto& m, auto& v) {
+      return v(m.object, m.from_instance, m.epoch);
+    }
   };
+  Prepare() = default;
   Prepare(std::uint64_t rid, std::vector<Entry> e)
       : req_id(rid), entries(std::move(e)) {}
-  std::uint64_t req_id;
+  std::uint64_t req_id = 0;
   std::vector<Entry> entries;
 
-  std::uint32_t kind() const override { return net::kKindM2Paxos + 5; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + 8 + net::varint_len(entries.size()) +
-           24 * entries.size();
-  }
-  const char* name() const override { return "M2.Prepare"; }
+  static auto fields(auto& m, auto& v) { return v(m.req_id, m.entries); }
 };
 
 /// Phase-1b reply: for every covered instance the acceptor has voted in (or
 /// knows decided), the vote and its epoch — the `decs` of Algorithm 4.
-struct AckPrepare final : net::Payload {
+struct AckPrepare final
+    : net::Message<AckPrepare, net::kKindM2Paxos + 6, true> {
+  static constexpr const char* kName = "M2.AckPrepare";
   struct Vote {
     ObjectId object = 0;
     Instance instance = 0;
@@ -206,9 +322,6 @@ struct AckPrepare final : net::Payload {
     /// Batched votes carry the whole slot value: a recovery that re-accepts
     /// the head without its tail would lose the tail members for good.
     CommandBatchPtr batch;
-
-    /// object + instance + epoch u64s, decided u8
-    static constexpr std::size_t kHeaderBytes = 25;
 
     Vote() = default;
     Vote(ObjectId o, Instance in, Epoch e, bool dec, CommandPtr c)
@@ -223,6 +336,12 @@ struct AckPrepare final : net::Payload {
           accepted_epoch(e),
           decided(dec),
           cmd(std::make_shared<const Command>(std::move(c))) {}
+
+    /// On the wire only inside a HeadList: the head may be a reference.
+    static auto fields(auto& m, auto& v) {
+      return v(m.object, m.instance, m.accepted_epoch, m.decided,
+               net::batched(m.cmd, m.batch));
+    }
   };
   std::uint64_t req_id = 0;
   NodeId acceptor = kNoNode;
@@ -236,48 +355,45 @@ struct AckPrepare final : net::Payload {
   std::vector<std::pair<ObjectId, Instance>> delivered_floors;
   std::vector<ViewHint> hints;  // populated on NACK
 
-  std::uint32_t kind() const override { return net::kKindM2Paxos + 6; }
-  std::size_t wire_size() const override;  // cached; call once built
-  const char* name() const override { return "M2.AckPrepare"; }
-
- private:
-  mutable std::size_t cached_size_ = SIZE_MAX;
+  /// wire_size() is cached: call it once the reply is built.
+  static auto fields(auto& m, auto& v) {
+    return v(m.req_id, m.acceptor, m.ack, head_list(m.votes),
+             m.delivered_floors, m.hints);
+  }
 };
 
 /// Anti-entropy: ask a peer for decided slots this node is missing
 /// (extension beyond the paper; see DESIGN.md §5a). Sent when a delivery
 /// frontier has been stuck on an undecided slot for a sync period.
-struct SyncRequest final : net::Payload {
+struct SyncRequest final : net::Message<SyncRequest, net::kKindM2Paxos + 7> {
+  static constexpr const char* kName = "M2.SyncRequest";
   struct Entry {
     ObjectId object = 0;
     Instance from_instance = 1;
+
+    static auto fields(auto& m, auto& v) {
+      return v(m.object, m.from_instance);
+    }
   };
   /// Inline capacity covers the default sync_batch (16), so probes built
   /// on the steady-state sync path never heap-allocate.
   using EntryList = core::SmallVec<Entry, 16>;
+  SyncRequest() = default;
   explicit SyncRequest(EntryList e) : entries(std::move(e)) {}
   EntryList entries;
 
-  std::uint32_t kind() const override { return net::kKindM2Paxos + 7; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + net::varint_len(entries.size()) +
-           16 * entries.size();
-  }
-  const char* name() const override { return "M2.SyncRequest"; }
+  static auto fields(auto& m, auto& v) { return v(m.entries); }
 };
 
 /// Reply: the peer's retained decided slots at or above the requested
 /// positions (served from its retention window).
-struct SyncReply final : net::Payload {
+struct SyncReply final : net::Message<SyncReply, net::kKindM2Paxos + 8, true> {
+  static constexpr const char* kName = "M2.SyncReply";
+  SyncReply() = default;
   explicit SyncReply(SlotList s) : slots(std::move(s)) {}
   SlotList slots;
 
-  std::uint32_t kind() const override { return net::kKindM2Paxos + 8; }
-  std::size_t wire_size() const override;  // cached; payloads are immutable
-  const char* name() const override { return "M2.SyncReply"; }
-
- private:
-  mutable std::size_t cached_size_ = SIZE_MAX;
+  static auto fields(auto& m, auto& v) { return v(head_list(m.slots)); }
 };
 
 }  // namespace m2::m2p

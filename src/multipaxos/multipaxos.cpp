@@ -17,13 +17,24 @@ Ballot next_ballot_for(NodeId node, Ballot above, int n_nodes) {
   return b;
 }
 
-/// Whether `id` is a member of the slot value (head, tail).
-bool slot_holds(const Command& head, const std::vector<Command>& tail,
+/// Calls `f` on each member of a slot value in batch order: every member
+/// of the batch when there is one (its head first), else the head alone.
+template <typename F>
+void for_each_member(const CommandPtr& head, const CommandBatchPtr& batch,
+                     F&& f) {
+  if (batch == nullptr) {
+    f(*head);
+    return;
+  }
+  for (const CommandPtr& c : batch->cmds) f(*c);
+}
+
+/// Whether `id` is a member of the slot value.
+bool slot_holds(const CommandPtr& head, const CommandBatchPtr& batch,
                 CommandId id) {
-  if (head.id == id) return true;
-  for (const auto& t : tail)
-    if (t.id == id) return true;
-  return false;
+  bool held = false;
+  for_each_member(head, batch, [&](const Command& c) { held |= c.id == id; });
+  return held;
 }
 
 }  // namespace
@@ -154,7 +165,7 @@ void MultiPaxosReplica::lead(const Command& c) {
       m_inc(stats::Counter::kRetransmissions);
       ctx_.broadcast(
           net::make_payload<Commit>(rit->second.slot, rit->second.head,
-                                    rit->second.tail),
+                                    rit->second.batch),
           false);
     }
     return;
@@ -164,19 +175,19 @@ void MultiPaxosReplica::lead(const Command& c) {
     auto sit = slots_.find(ait->second);
     if (sit != slots_.end()) {
       const SlotState& st = sit->second;
-      if (st.committed && slot_holds(*st.committed, st.committed_tail, c.id)) {
+      if (st.committed && slot_holds(st.committed, st.committed_batch, c.id)) {
         m_inc(stats::Counter::kRetransmissions);
-        ctx_.broadcast(net::make_payload<Commit>(sit->first, *st.committed,
-                                                 st.committed_tail),
+        ctx_.broadcast(net::make_payload<Commit>(sit->first, st.committed,
+                                                 st.committed_batch),
                        false);
         return;
       }
       if (st.accepted && st.accepted_ballot == ballot_ &&
-          slot_holds(*st.accepted, st.accepted_tail, c.id)) {
+          slot_holds(st.accepted, st.accepted_batch, c.id)) {
         m_inc(stats::Counter::kRetransmissions);
         ctx_.broadcast(net::make_payload<Accept>(ballot_, sit->first,
-                                                 *st.accepted,
-                                                 st.accepted_tail),
+                                                 st.accepted,
+                                                 st.accepted_batch),
                        true);
         return;
       }
@@ -228,23 +239,17 @@ void MultiPaxosReplica::flush_batch(bool force) {
           batch_bytes_ >= bcfg_.batch_max_bytes)) {
     const std::size_t take =
         std::min(batch_buf_.size(), bcfg_.batch_max_commands);
-    Command head = std::move(batch_buf_.front());
-    batch_buf_.pop_front();
-    std::vector<Command> tail;
-    tail.reserve(take - 1);
-    for (std::size_t i = 1; i < take; ++i) {
-      tail.push_back(std::move(batch_buf_.front()));
+    const std::uint64_t slot = next_slot_++;
+    auto batch = std::make_shared<core::CommandBatch>();
+    for (std::size_t i = 0; i < take; ++i) {
+      Command& c = batch_buf_.front();
+      batch_queued_.erase(c.id);
+      assigned_.emplace(c.id, slot);
+      batch_bytes_ -= c.wire_size();
+      batch->cmds.push_back(std::make_shared<const Command>(std::move(c)));
       batch_buf_.pop_front();
     }
-    const std::uint64_t slot = next_slot_++;
-    batch_queued_.erase(head.id);
-    assigned_.emplace(head.id, slot);
-    batch_bytes_ -= head.wire_size();
-    for (const auto& t : tail) {
-      batch_queued_.erase(t.id);
-      assigned_.emplace(t.id, slot);
-      batch_bytes_ -= t.wire_size();
-    }
+    CommandPtr head = batch->cmds.front();
     ++counters_.slots_led;
     ++counters_.batched_slots;
     counters_.batched_commands += take;
@@ -253,9 +258,11 @@ void MultiPaxosReplica::flush_batch(bool force) {
     m_record(stats::Histo::kBatchOccupancy, static_cast<std::int64_t>(take));
     my_batched_slots_.insert(slot);
     ++batch_inflight_;
-    ctx_.broadcast(net::make_payload<Accept>(ballot_, slot, std::move(head),
-                                             std::move(tail)),
-                   true);
+    // A one-command flush is a plain slot value, as on the wire.
+    ctx_.broadcast(
+        net::make_payload<Accept>(ballot_, slot, std::move(head),
+                                  take > 1 ? std::move(batch) : nullptr),
+        true);
   }
   // Pipeline full (or partial batch held back): the window timer closes
   // the remainder; commits re-enter here as in-flight slots settle.
@@ -277,11 +284,13 @@ void MultiPaxosReplica::handle_accepted(const Accepted& msg) {
   st.ackers.push_back(msg.acceptor);
   if (static_cast<int>(st.ackers.size()) < cfg_.classic_quorum()) return;
   if (!st.accepted) return;  // quorum acks but our own accept not processed yet
-  const Command cmd = *st.accepted;
-  const std::vector<Command> tail = st.accepted_tail;
-  commit_slot(msg.slot, cmd, tail);
+  CommandPtr cmd = st.accepted;
+  CommandBatchPtr batch = st.accepted_batch;
+  commit_slot(msg.slot, cmd, batch);
   ++counters_.commits;
-  ctx_.broadcast(net::make_payload<Commit>(msg.slot, cmd, tail), false);
+  ctx_.broadcast(
+      net::make_payload<Commit>(msg.slot, std::move(cmd), std::move(batch)),
+      false);
 }
 
 // --------------------------------------------------------------------
@@ -300,7 +309,7 @@ void MultiPaxosReplica::handle_accept(NodeId from, const Accept& msg) {
     if (msg.ballot >= st.accepted_ballot) {
       st.accepted_ballot = msg.ballot;
       st.accepted = msg.cmd;
-      st.accepted_tail = msg.tail;
+      st.accepted_batch = msg.batch;
     }
     reply->ack = true;
   } else {
@@ -322,11 +331,11 @@ void MultiPaxosReplica::handle_prepare(NodeId from, const Prepare& msg) {
       const SlotState& st = it->second;
       if (st.committed) {
         reply->votes.push_back(Promise::Vote{it->first, UINT64_MAX,
-                                             *st.committed,
-                                             st.committed_tail});
+                                             st.committed,
+                                             st.committed_batch});
       } else if (st.accepted) {
         reply->votes.push_back(Promise::Vote{it->first, st.accepted_ballot,
-                                             *st.accepted, st.accepted_tail});
+                                             st.accepted, st.accepted_batch});
       }
     }
   } else {
@@ -397,7 +406,7 @@ void MultiPaxosReplica::become_leader() {
       std::max(promise_safe_start_, last_delivered_ + 1);
   for (const auto& [slot, vote] : best) {
     if (slot < safe_start && vote->vballot == UINT64_MAX)
-      commit_slot(slot, vote->cmd, vote->tail);
+      commit_slot(slot, vote->cmd, vote->batch);
   }
 
   // Re-propose surviving votes (whole slot values — a batched vote's tail
@@ -405,18 +414,19 @@ void MultiPaxosReplica::become_leader() {
   // slots whose value was lost with the old leader.
   for (std::uint64_t slot = safe_start; slot <= max_slot; ++slot) {
     auto it = best.find(slot);
-    Command cmd;
-    std::vector<Command> tail;
+    CommandPtr cmd;
+    CommandBatchPtr batch;
     if (it != best.end()) {
       cmd = it->second->cmd;
-      tail = it->second->tail;
+      batch = it->second->batch;
     } else {
-      cmd = Command(CommandId::make(id_, (1ULL << 40) + slot), {}, 0);
-      cmd.noop = true;
+      Command noop(CommandId::make(id_, (1ULL << 40) + slot), {}, 0);
+      noop.noop = true;
+      cmd = std::make_shared<const Command>(std::move(noop));
       m_inc(stats::Counter::kNoopsFilled);
     }
     ctx_.broadcast(net::make_payload<Accept>(ballot_, slot, std::move(cmd),
-                                             std::move(tail)),
+                                             std::move(batch)),
                    true);
   }
   next_slot_ = std::max(max_slot + 1, safe_start);
@@ -431,30 +441,30 @@ void MultiPaxosReplica::become_leader() {
 // --------------------------------------------------------------------
 
 void MultiPaxosReplica::handle_commit(const Commit& msg) {
-  commit_slot(msg.slot, msg.cmd, msg.tail);
+  commit_slot(msg.slot, msg.cmd, msg.batch);
 }
 
-void MultiPaxosReplica::commit_slot(std::uint64_t slot, const Command& cmd,
-                                    const std::vector<Command>& tail) {
+void MultiPaxosReplica::commit_slot(std::uint64_t slot, CommandPtr cmd,
+                                    CommandBatchPtr batch) {
   SlotState& st = slots_[slot];
   if (st.committed) {
-    assert(st.committed->id == cmd.id && "two commands committed in one slot");
+    assert(st.committed->id == cmd->id && "two commands committed in one slot");
     return;
   }
   st.committed = cmd;
-  st.committed_tail = tail;
+  st.committed_batch = batch;
   // Single log: slot key is ⟨object 0, log index⟩; a batched slot decides
   // once with its head (the tail rides inside the slot value).
   m_inc(stats::Counter::kDecidedSlots);
   m_record(stats::Histo::kSlotLogDepth,
            static_cast<std::int64_t>(slots_.size()));
-  ctx_.decided(0, slot, cmd);
-  assigned_.erase(cmd.id);
-  for (const auto& t : tail) assigned_.erase(t.id);
+  ctx_.decided(0, slot, *cmd);
+  for_each_member(cmd, batch,
+                  [this](const Command& c) { assigned_.erase(c.id); });
   if (leader_ == id_) {
-    const RecentCommit rec{slot, cmd, tail};
-    recent_commits_[cmd.id] = rec;
-    for (const auto& t : tail) recent_commits_[t.id] = rec;
+    const RecentCommit rec{slot, cmd, batch};
+    for_each_member(cmd, batch,
+                    [&](const Command& c) { recent_commits_[c.id] = rec; });
     // Bound the replay window alongside the delivered-id window.
     if (recent_commits_.size() > cfg_.delivered_id_window)
       recent_commits_.clear();
@@ -467,8 +477,7 @@ void MultiPaxosReplica::commit_slot(std::uint64_t slot, const Command& cmd,
       ctx_.committed(c);
     }
   };
-  report(cmd);
-  for (const auto& t : tail) report(t);
+  for_each_member(cmd, batch, report);
   if (my_batched_slots_.erase(slot) > 0) {
     --batch_inflight_;
     if (!batch_buf_.empty()) m_inc(stats::Counter::kBatchFlushPipeline);
@@ -481,13 +490,13 @@ void MultiPaxosReplica::try_deliver() {
   for (;;) {
     auto it = slots_.find(last_delivered_ + 1);
     if (it == slots_.end() || !it->second.committed) return;
-    const Command head = *it->second.committed;
-    const std::vector<Command> tail = std::move(it->second.committed_tail);
+    const CommandPtr head = std::move(it->second.committed);
+    const CommandBatchPtr batch = std::move(it->second.committed_batch);
     ++last_delivered_;
     slots_.erase(it);  // slots below the delivery frontier are never re-read
 
-    // Unroll the slot value in batch order (head, then tail); per-member
-    // dedup guards duplicates via retries.
+    // Unroll the slot value in batch order; per-member dedup guards
+    // duplicates via retries.
     auto deliver_one = [this](const Command& c) {
       if (delivered_ids_.count(c.id) > 0) return;
       delivered_ids_.insert(c.id);
@@ -509,8 +518,7 @@ void MultiPaxosReplica::try_deliver() {
         ctx_.deliver(c);
       }
     };
-    deliver_one(head);
-    for (const auto& t : tail) deliver_one(t);
+    for_each_member(head, batch, deliver_one);
   }
 }
 

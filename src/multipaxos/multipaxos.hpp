@@ -12,12 +12,15 @@
 #include "core/config.hpp"
 #include "core/failure_detector.hpp"
 #include "core/replica.hpp"
+#include "net/wire.hpp"
 #include "sim/time.hpp"
 
 namespace m2::mp {
 
 using core::Command;
+using core::CommandBatchPtr;
 using core::CommandId;
+using core::CommandPtr;
 
 /// Ballot number; ballot b is led by node (b mod N), so competing
 /// candidates never collide on a ballot.
@@ -28,26 +31,25 @@ using Ballot = std::uint64_t;
 // ---------------------------------------------------------------------
 
 /// Client/replica forwarding of a command to the current leader.
-struct ClientPropose final : net::Payload {
+struct ClientPropose final
+    : net::Message<ClientPropose, net::kKindMultiPaxos + 1> {
+  static constexpr const char* kName = "MP.Propose";
+  ClientPropose() = default;
   explicit ClientPropose(Command c) : cmd(std::move(c)) {}
   Command cmd;
-  std::uint32_t kind() const override { return net::kKindMultiPaxos + 1; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + cmd.wire_size();
-  }
-  const char* name() const override { return "MP.Propose"; }
+
+  static auto fields(auto& m, auto& v) { return v(m.cmd); }
 };
 
 /// Phase-1a: new-leader prepare covering the whole log suffix from `from_slot`.
-struct Prepare final : net::Payload {
+struct Prepare final : net::Message<Prepare, net::kKindMultiPaxos + 2> {
+  static constexpr const char* kName = "MP.Prepare";
+  Prepare() = default;
   Prepare(Ballot b, std::uint64_t from) : ballot(b), from_slot(from) {}
-  Ballot ballot;
-  std::uint64_t from_slot;
-  std::uint32_t kind() const override { return net::kKindMultiPaxos + 2; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + 16;
-  }
-  const char* name() const override { return "MP.Prepare"; }
+  Ballot ballot = 0;
+  std::uint64_t from_slot = 0;
+
+  static auto fields(auto& m, auto& v) { return v(m.ballot, m.from_slot); }
 };
 
 /// Phase-1b: promise plus every vote at or above the prepared slot.
@@ -56,86 +58,84 @@ struct Prepare final : net::Payload {
 /// are committed and their acceptor records have been pruned, so they can
 /// contribute no votes. A new leader must treat every slot below the
 /// quorum's maximum frontier as decided elsewhere and never re-propose it.
-struct Promise final : net::Payload {
+struct Promise final : net::Message<Promise, net::kKindMultiPaxos + 3> {
+  static constexpr const char* kName = "MP.Promise";
   struct Vote {
     std::uint64_t slot = 0;
     Ballot vballot = 0;
-    Command cmd;
-    /// Batch tail of the voted slot value (empty for plain slots). A new
-    /// leader must re-propose the whole batch; the head alone would drop
-    /// the tail members.
-    std::vector<Command> tail;
+    /// The voted slot value: its head and, for a batched slot, the whole
+    /// batch. A new leader must re-propose the whole batch; the head alone
+    /// would drop the tail members.
+    CommandPtr cmd;
+    CommandBatchPtr batch;
+
+    static auto fields(auto& m, auto& v) {
+      return v(m.slot, m.vballot, net::batched(m.cmd, m.batch));
+    }
   };
   Ballot ballot = 0;
   NodeId acceptor = kNoNode;
   bool ack = false;
   std::uint64_t first_undelivered = 1;
   std::vector<Vote> votes;
-  std::uint32_t kind() const override { return net::kKindMultiPaxos + 3; }
-  std::size_t wire_size() const override {
-    std::size_t bytes = net::varint_len(kind()) + 8 + 4 + 1 + 8 +
-                        net::varint_len(votes.size());
-    for (const auto& v : votes) {
-      bytes += 16 + v.cmd.wire_size() + net::varint_len(v.tail.size());
-      for (const auto& t : v.tail) bytes += t.wire_size();
-    }
-    return bytes;
+
+  static auto fields(auto& m, auto& v) {
+    return v(m.ballot, m.acceptor, m.ack, m.first_undelivered, m.votes);
   }
-  const char* name() const override { return "MP.Promise"; }
 };
 
 /// Phase-2a: leader proposes `cmd` in `slot` at `ballot`. With command
-/// batching, `tail` carries the commands riding behind `cmd` in the same
-/// slot (the slot value is the whole batch, head first); empty otherwise.
-struct Accept final : net::Payload {
+/// batching, `batch` is the whole slot value, head first (null for a plain
+/// slot), exactly as an M²Paxos SlotValue carries it.
+struct Accept final : net::Message<Accept, net::kKindMultiPaxos + 4> {
+  static constexpr const char* kName = "MP.Accept";
+  Accept() = default;
+  Accept(Ballot b, std::uint64_t s, CommandPtr c,
+         CommandBatchPtr batch = nullptr)
+      : ballot(b), slot(s), cmd(std::move(c)), batch(std::move(batch)) {}
+  /// Wraps a by-value command into a fresh shared handle.
   Accept(Ballot b, std::uint64_t s, Command c)
-      : ballot(b), slot(s), cmd(std::move(c)) {}
-  Accept(Ballot b, std::uint64_t s, Command c, std::vector<Command> t)
-      : ballot(b), slot(s), cmd(std::move(c)), tail(std::move(t)) {}
-  Ballot ballot;
-  std::uint64_t slot;
-  Command cmd;
-  std::vector<Command> tail;
-  std::uint32_t kind() const override { return net::kKindMultiPaxos + 4; }
-  std::size_t wire_size() const override {
-    std::size_t bytes = net::varint_len(kind()) + 16 + cmd.wire_size() +
-                        net::varint_len(tail.size());
-    for (const auto& t : tail) bytes += t.wire_size();
-    return bytes;
+      : Accept(b, s, std::make_shared<const Command>(std::move(c))) {}
+  Ballot ballot = 0;
+  std::uint64_t slot = 0;
+  CommandPtr cmd;
+  CommandBatchPtr batch;
+
+  static auto fields(auto& m, auto& v) {
+    return v(m.ballot, m.slot, net::batched(m.cmd, m.batch));
   }
-  const char* name() const override { return "MP.Accept"; }
 };
 
 /// Phase-2b: acceptor's reply to the leader.
-struct Accepted final : net::Payload {
+struct Accepted final : net::Message<Accepted, net::kKindMultiPaxos + 5> {
+  static constexpr const char* kName = "MP.Accepted";
   Ballot ballot = 0;
   std::uint64_t slot = 0;
   NodeId acceptor = kNoNode;
   bool ack = false;
-  std::uint32_t kind() const override { return net::kKindMultiPaxos + 5; }
-  std::size_t wire_size() const override {
-    return net::varint_len(kind()) + 21;
+
+  static auto fields(auto& m, auto& v) {
+    return v(m.ballot, m.slot, m.acceptor, m.ack);
   }
-  const char* name() const override { return "MP.Accepted"; }
 };
 
 /// Learn message broadcast by the leader once a slot reaches quorum.
-/// `tail` mirrors the Accept's batch tail for batched slots.
-struct Commit final : net::Payload {
-  Commit(std::uint64_t s, Command c) : slot(s), cmd(std::move(c)) {}
-  Commit(std::uint64_t s, Command c, std::vector<Command> t)
-      : slot(s), cmd(std::move(c)), tail(std::move(t)) {}
-  std::uint64_t slot;
-  Command cmd;
-  std::vector<Command> tail;
-  std::uint32_t kind() const override { return net::kKindMultiPaxos + 6; }
-  std::size_t wire_size() const override {
-    std::size_t bytes = net::varint_len(kind()) + 8 + cmd.wire_size() +
-                        net::varint_len(tail.size());
-    for (const auto& t : tail) bytes += t.wire_size();
-    return bytes;
+/// `batch` mirrors the Accept's slot value for batched slots.
+struct Commit final : net::Message<Commit, net::kKindMultiPaxos + 6> {
+  static constexpr const char* kName = "MP.Commit";
+  Commit() = default;
+  Commit(std::uint64_t s, CommandPtr c, CommandBatchPtr batch = nullptr)
+      : slot(s), cmd(std::move(c)), batch(std::move(batch)) {}
+  /// Wraps a by-value command into a fresh shared handle.
+  Commit(std::uint64_t s, Command c)
+      : Commit(s, std::make_shared<const Command>(std::move(c))) {}
+  std::uint64_t slot = 0;
+  CommandPtr cmd;
+  CommandBatchPtr batch;
+
+  static auto fields(auto& m, auto& v) {
+    return v(m.slot, net::batched(m.cmd, m.batch));
   }
-  const char* name() const override { return "MP.Commit"; }
 };
 
 // ---------------------------------------------------------------------
@@ -190,13 +190,13 @@ class MultiPaxosReplica final : public core::Replica {
  private:
   struct SlotState {
     Ballot accepted_ballot = 0;  // highest ballot a value was accepted at
-    std::optional<Command> accepted;
-    std::optional<Command> committed;
-    // Batch tails of the accepted/committed slot value (empty for plain
-    // single-command slots); kept so promises, retransmissions, and
-    // delivery all see the whole batch.
-    std::vector<Command> accepted_tail;
-    std::vector<Command> committed_tail;
+    // Accepted and committed slot values (null until set): the head and,
+    // for a batched slot, the whole batch, so promises, retransmissions,
+    // and delivery all see every member.
+    CommandPtr accepted;
+    CommandBatchPtr accepted_batch;
+    CommandPtr committed;
+    CommandBatchPtr committed_batch;
     std::vector<NodeId> ackers;  // leader-side phase-2 acks (deduplicated)
   };
   struct PendingCommand {
@@ -219,8 +219,7 @@ class MultiPaxosReplica final : public core::Replica {
   void handle_accept(NodeId from, const Accept& msg);
   void handle_accepted(const Accepted& msg);
   void handle_commit(const Commit& msg);
-  void commit_slot(std::uint64_t slot, const Command& cmd,
-                   const std::vector<Command>& tail = {});
+  void commit_slot(std::uint64_t slot, CommandPtr cmd, CommandBatchPtr batch);
   void try_deliver();
   void start_leader_change();
   void become_leader();
@@ -246,8 +245,8 @@ class MultiPaxosReplica final : public core::Replica {
   /// batch.
   struct RecentCommit {
     std::uint64_t slot = 0;
-    Command head;
-    std::vector<Command> tail;
+    CommandPtr head;
+    CommandBatchPtr batch;
   };
   std::unordered_map<CommandId, RecentCommit> recent_commits_;
 

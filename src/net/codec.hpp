@@ -7,9 +7,7 @@
 
 namespace m2::net {
 
-/// Encoded length in bytes of `v` as a LEB128 varint (1..10). Payload
-/// wire_size() implementations use this to stay byte-exact against the
-/// serde encoder without serializing.
+/// Encoded length in bytes of `v` as a LEB128 varint (1..10).
 constexpr std::size_t varint_len(std::uint64_t v) {
   std::size_t n = 1;
   while (v >= 0x80) {
@@ -19,8 +17,10 @@ constexpr std::size_t varint_len(std::uint64_t v) {
   return n;
 }
 
-/// Minimal binary wire format used for message serialization (net::serde),
-/// envelope framing, and the harness snapshot/trace files. Round-trip
+/// Minimal binary wire format used for message serialization (net::serde,
+/// whose field codecs in net/wire.hpp write through a Writer and count
+/// sizes through the Counter below), envelope framing, and the harness
+/// snapshot/trace files. Round-trip
 /// behaviour is unit tested, including varint boundaries and malformed
 /// input.
 ///
@@ -54,6 +54,24 @@ class Writer {
  private:
   std::vector<std::uint8_t> own_;
   std::vector<std::uint8_t>* buf_;
+};
+
+/// The Writer interface without the bytes: adds up what a Writer would
+/// append. Encoding into a Counter is how every message's wire_size() is
+/// counted (net/wire.hpp), so the size can never drift from the encoding.
+class Counter {
+ public:
+  void u8(std::uint8_t) { n_ += 1; }
+  void u32(std::uint32_t) { n_ += 4; }
+  void u64(std::uint64_t) { n_ += 8; }
+  void varint(std::uint64_t v) { n_ += varint_len(v); }
+  void bytes(const void*, std::size_t n) { n_ += n; }
+  void pad(std::size_t n) { n_ += n; }
+
+  std::size_t size() const { return n_; }
+
+ private:
+  std::size_t n_ = 0;
 };
 
 /// Reader over a byte span; every accessor returns nullopt on underflow or

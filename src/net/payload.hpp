@@ -22,17 +22,19 @@ namespace m2::net {
 /// costs. This is what lets the EPaxos dependency lists and the
 /// Generalized Paxos c-structs "weigh" more than M²Paxos messages, exactly
 /// as the paper argues (§VI-A). The threaded runtime serializes for real
-/// through net::serde.
+/// through net::serde. Protocol messages implement this interface through
+/// net::Message (net/wire.hpp): each declares its fields once, and kind(),
+/// name(), wire_size() and its encoding all come from that declaration.
 struct Payload {
   virtual ~Payload() = default;
 
   /// Message type tag, unique across all protocols (see kind ranges below).
   virtual std::uint32_t kind() const = 0;
 
-  /// Exact bytes this message occupies on the wire: byte-for-byte equal to
-  /// net::encode_payload(*this).size() (the kind tag plus the body,
-  /// excluding the FrameHeader). The serde exhaustive round-trip test pins
-  /// the equality for every payload kind.
+  /// Exact bytes this message occupies on the wire: net::encode_payload
+  /// (*this).size() (the kind tag plus the body, excluding the
+  /// FrameHeader). Protocol messages count it by running their encoder
+  /// over a net::Counter.
   virtual std::size_t wire_size() const = 0;
 
   /// Human-readable type name for traces and counters.

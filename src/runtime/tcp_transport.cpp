@@ -329,6 +329,7 @@ void TcpTransport::reader_loop(int fd, NodeId target) {
   // at the largest frame seen, so steady state is allocation-free.
   std::vector<std::uint8_t> buf(64 * 1024);
   std::size_t have = 0;
+  std::vector<net::PayloadPtr> staged;  // one frame's decoded messages
   while (running_.load(std::memory_order_acquire)) {
     if (have == buf.size()) buf.resize(buf.size() * 2);  // frame > buffer
     const ssize_t got = ::recv(fd, buf.data() + have, buf.size() - have, 0);
@@ -356,19 +357,27 @@ void TcpTransport::reader_loop(int fd, NodeId target) {
 
       Inbox* inbox = inboxes_.at(target);
       if (inbox == nullptr) return;
-      std::size_t offset = 0;
-      for (std::uint32_t i = 0; i < h->message_count; ++i) {
-        net::PayloadPtr decoded =
-            net::decode_payload(body + offset, h->body_bytes - offset);
-        if (decoded == nullptr) {
-          counters_.decode_failures.fetch_add(1, std::memory_order_relaxed);
-          ::shutdown(fd, SHUT_RDWR);
-          return;  // framing lost; drop the connection
-        }
-        offset += decoded->wire_size();  // wire_size is byte-exact
-        counters_.messages_received.fetch_add(1, std::memory_order_relaxed);
-        inbox->push(Event::message(h->sender, std::move(decoded)));
+      // Messages follow each other back to back: each decode advances by
+      // the bytes it consumed, and the last must end exactly at the body's
+      // end. A message that fails to decode, or bytes left over, mean the
+      // framing is lost: like a CRC failure, drop the connection and
+      // deliver nothing of the frame.
+      net::Reader messages(body, h->body_bytes);
+      staged.clear();
+      while (staged.size() < h->message_count) {
+        net::PayloadPtr decoded = net::decode_next(messages);
+        if (decoded == nullptr) break;
+        staged.push_back(std::move(decoded));
       }
+      if (staged.size() != h->message_count || messages.remaining() != 0) {
+        counters_.decode_failures.fetch_add(1, std::memory_order_relaxed);
+        ::shutdown(fd, SHUT_RDWR);
+        return;
+      }
+      counters_.messages_received.fetch_add(staged.size(),
+                                            std::memory_order_relaxed);
+      for (net::PayloadPtr& p : staged)
+        inbox->push(Event::message(h->sender, std::move(p)));
       counters_.bytes_received.fetch_add(frame, std::memory_order_relaxed);
       pos += frame;
     }

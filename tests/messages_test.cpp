@@ -95,7 +95,8 @@ TEST(GpMessages, FastAckCarriesCstructSuffix) {
 TEST(MpMessages, PromiseGrowsWithVotes) {
   mp::Promise p;
   const auto empty = p.wire_size();
-  p.votes.push_back({1, 1, cmd(0, 1, {1}), {}});
+  p.votes.push_back(
+      {1, 1, std::make_shared<const core::Command>(cmd(0, 1, {1})), {}});
   EXPECT_GT(p.wire_size(), empty + 16);
 }
 
@@ -133,7 +134,7 @@ TEST(AllMessages, KindsAreUniqueAcrossProtocols) {
   kinds.push_back(m2p::Propose(c).kind());
   kinds.push_back(m2p::Accept(1, {}).kind());
   kinds.push_back(m2p::AckAccept().kind());
-  kinds.push_back(m2p::Decide({}).kind());
+  kinds.push_back(m2p::Decide().kind());
   kinds.push_back(m2p::Prepare(1, {}).kind());
   kinds.push_back(m2p::AckPrepare().kind());
   std::sort(kinds.begin(), kinds.end());

@@ -136,7 +136,7 @@ TEST(MultiPaxosUnit, PromiseCarriesVotesAboveRequestedSlot) {
   ASSERT_EQ(promise->votes.size(), 1u);
   EXPECT_EQ(promise->votes[0].slot, 4u);
   EXPECT_EQ(promise->votes[0].vballot, 0u);
-  EXPECT_EQ(promise->votes[0].cmd.id, c.id);
+  EXPECT_EQ(promise->votes[0].cmd->id, c.id);
 }
 
 TEST(MultiPaxosUnit, CommitsDeliverInSlotOrder) {

@@ -10,6 +10,7 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -612,6 +613,51 @@ TEST(TcpWirePath, CorruptFrameIsCountedDroppedAndNeverDelivered) {
   EXPECT_EQ(static_cast<const m2p::Accept&>(*events.front().payload).req_id,
             7u);
   ::close(good);
+  receiver.stop();
+}
+
+TEST(TcpWirePath, FrameWithBytesPastItsMessagesIsCountedAndDropped) {
+  std::vector<Endpoint> endpoints = {{"127.0.0.1", free_port()},
+                                     {"127.0.0.1", free_port()}};
+  TcpTransport receiver(endpoints);
+  Inbox rx1;
+  receiver.attach(1, &rx1);
+  receiver.start();
+  ASSERT_TRUE(receiver.error().empty()) << receiver.error();
+
+  // A CRC-valid frame of one message followed by one stray byte: the
+  // message count and the body length disagree, so the framing is lost.
+  std::vector<std::uint8_t> body = net::encode_payload(*make_accept(7));
+  body.push_back(0);
+  net::FrameHeader header;
+  header.sender = 0;
+  header.message_count = 1;
+  header.body_bytes = body.size();
+  header.checksum = net::crc32c(body.data(), body.size());
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(endpoints[1].port);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const timeval recv_timeout{10, 0};  // fail, not hang, if never dropped
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
+               sizeof(recv_timeout));
+  std::vector<std::uint8_t> frame = header.encode();
+  frame.insert(frame.end(), body.begin(), body.end());
+  EXPECT_EQ(::send(fd, frame.data(), frame.size(), 0),
+            static_cast<ssize_t>(frame.size()));
+  // The reader counts the failure and drops the connection without
+  // delivering the frame's message: EOF here is the drop.
+  std::uint8_t byte;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
+  ::close(fd);
+  EXPECT_EQ(receiver.counters().decode_failures.load(), 1u);
+  std::vector<Event> events;
+  EXPECT_EQ(rx1.pop_all(events), 0u);
   receiver.stop();
 }
 

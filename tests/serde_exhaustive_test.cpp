@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "core/failure_detector.hpp"
@@ -75,12 +76,23 @@ core::CommandBatchPtr rand_batch(sim::Rng& rng, int variant,
   return batch;
 }
 
-std::vector<core::Command> rand_tail(sim::Rng& rng, int variant) {
-  std::vector<core::Command> tail;
+/// Members of a Multi-Paxos batch after its head (none for variant 0).
+std::vector<core::CommandPtr> rand_tail(sim::Rng& rng, int variant) {
+  std::vector<core::CommandPtr> tail;
   const std::size_t n = variant == 0 ? 0 : rng.uniform(4);
   for (std::size_t i = 0; i < n; ++i)
-    tail.push_back(rand_cmd(rng, static_cast<int>(rng.uniform(3))));
+    tail.push_back(rand_cmd_ptr(rng, static_cast<int>(rng.uniform(3))));
   return tail;
+}
+
+/// The batch `head` + `tail`, or null (a plain value) for an empty tail.
+core::CommandBatchPtr with_tail(const core::CommandPtr& head,
+                                const std::vector<core::CommandPtr>& tail) {
+  if (tail.empty()) return nullptr;
+  auto batch = std::make_shared<core::CommandBatch>();
+  batch->cmds.push_back(head);
+  for (const auto& c : tail) batch->cmds.push_back(c);
+  return batch;
 }
 
 /// Variant 4 head: mostly a command already used earlier in the list,
@@ -112,7 +124,10 @@ m2p::SlotList rand_slots(sim::Rng& rng, int variant) {
                     ? shared_head(rng, used)
                     : rand_cmd_ptr(rng, variant == 3 && i == 0 ? 3 : 1);
     auto batch = rand_batch(rng, variant, head);
-    slots.emplace_back(rng.next(), rng.next(), rng.next(), std::move(head),
+    const auto epoch = rng.next();
+    const auto instance = rng.next();
+    const auto object = rng.next();
+    slots.emplace_back(object, instance, epoch, std::move(head),
                        std::move(batch));
   }
   return slots;
@@ -137,6 +152,11 @@ ep::Attrs rand_attrs(sim::Rng& rng, int variant) {
 
 using Factory = std::function<PayloadPtr(sim::Rng&, int)>;
 
+// Every factory draws from the RNG in a fixed order: values that are
+// arguments of one call are drawn into locals first (last argument first),
+// because argument evaluation order is unspecified and the corpus, and so
+// its pinned digest, must be the same under every compiler.
+
 std::vector<Factory> all_factories() {
   std::vector<Factory> f;
   // --- common ---------------------------------------------------------
@@ -149,8 +169,9 @@ std::vector<Factory> all_factories() {
     return make_payload<mp::ClientPropose>(rand_cmd(rng, v));
   });
   f.push_back([](sim::Rng& rng, int v) {
-    return make_payload<mp::Prepare>(v == 3 ? UINT64_MAX : rng.next(),
-                                     rng.next());
+    const auto from = rng.next();
+    const auto ballot = v == 3 ? UINT64_MAX : rng.next();
+    return make_payload<mp::Prepare>(ballot, from);
   });
   f.push_back([](sim::Rng& rng, int v) {
     auto m = std::make_shared<mp::Promise>();
@@ -159,14 +180,21 @@ std::vector<Factory> all_factories() {
     m->ack = rng.chance(0.5);
     m->first_undelivered = rng.next();
     const std::size_t n = v == 0 ? 0 : 1 + rng.uniform(3);
-    for (std::size_t i = 0; i < n; ++i)
-      m->votes.push_back({rng.next(), rng.next(), rand_cmd(rng, v),
-                          rand_tail(rng, v)});
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto slot = rng.next();
+      const auto vballot = rng.next();
+      auto head = rand_cmd_ptr(rng, v);
+      m->votes.push_back(
+          {slot, vballot, head, with_tail(head, rand_tail(rng, v))});
+    }
     return m;
   });
   f.push_back([](sim::Rng& rng, int v) {
-    return make_payload<mp::Accept>(rng.next(), rng.next(), rand_cmd(rng, v),
-                                    rand_tail(rng, v));
+    const auto tail = rand_tail(rng, v);
+    const auto head = rand_cmd_ptr(rng, v);
+    const auto slot = rng.next();
+    const auto ballot = rng.next();
+    return make_payload<mp::Accept>(ballot, slot, head, with_tail(head, tail));
   });
   f.push_back([](sim::Rng& rng, int v) {
     auto m = std::make_shared<mp::Accepted>();
@@ -177,8 +205,10 @@ std::vector<Factory> all_factories() {
     return m;
   });
   f.push_back([](sim::Rng& rng, int v) {
-    return make_payload<mp::Commit>(rng.next(), rand_cmd(rng, v),
-                                    rand_tail(rng, v));
+    const auto tail = rand_tail(rng, v);
+    const auto head = rand_cmd_ptr(rng, v);
+    const auto slot = rng.next();
+    return make_payload<mp::Commit>(slot, head, with_tail(head, tail));
   });
   // --- Generalized Paxos ----------------------------------------------
   f.push_back([](sim::Rng& rng, int v) {
@@ -203,7 +233,8 @@ std::vector<Factory> all_factories() {
     return make_payload<gp::ResolveReq>(rand_cmd(rng, v));
   });
   f.push_back([](sim::Rng& rng, int v) {
-    return make_payload<gp::SlowAccept>(rng.next(), rand_cmd(rng, v));
+    auto cmd = rand_cmd(rng, v);
+    return make_payload<gp::SlowAccept>(rng.next(), std::move(cmd));
   });
   f.push_back([](sim::Rng& rng, int v) {
     auto m = std::make_shared<gp::SlowAck>();
@@ -213,12 +244,15 @@ std::vector<Factory> all_factories() {
     return m;
   });
   f.push_back([](sim::Rng& rng, int v) {
-    return make_payload<gp::Sequence>(rng.next(), rand_cmd(rng, v));
+    auto cmd = rand_cmd(rng, v);
+    return make_payload<gp::Sequence>(rng.next(), std::move(cmd));
   });
   // --- EPaxos ---------------------------------------------------------
   f.push_back([](sim::Rng& rng, int v) {
-    return make_payload<ep::PreAccept>(rng.next(), rand_cmd(rng, v),
-                                       rand_attrs(rng, v));
+    auto attrs = rand_attrs(rng, v);
+    auto cmd = rand_cmd(rng, v);
+    return make_payload<ep::PreAccept>(rng.next(), std::move(cmd),
+                                       std::move(attrs));
   });
   f.push_back([](sim::Rng& rng, int v) {
     auto m = std::make_shared<ep::PreAcceptReply>();
@@ -229,8 +263,10 @@ std::vector<Factory> all_factories() {
     return m;
   });
   f.push_back([](sim::Rng& rng, int v) {
-    return make_payload<ep::AcceptMsg>(rng.next(), rand_cmd(rng, v),
-                                       rand_attrs(rng, v));
+    auto attrs = rand_attrs(rng, v);
+    auto cmd = rand_cmd(rng, v);
+    return make_payload<ep::AcceptMsg>(rng.next(), std::move(cmd),
+                                       std::move(attrs));
   });
   f.push_back([](sim::Rng& rng, int v) {
     auto m = std::make_shared<ep::AcceptReply>();
@@ -239,15 +275,18 @@ std::vector<Factory> all_factories() {
     return m;
   });
   f.push_back([](sim::Rng& rng, int v) {
-    return make_payload<ep::CommitMsg>(rng.next(), rand_cmd(rng, v),
-                                       rand_attrs(rng, v));
+    auto attrs = rand_attrs(rng, v);
+    auto cmd = rand_cmd(rng, v);
+    return make_payload<ep::CommitMsg>(rng.next(), std::move(cmd),
+                                       std::move(attrs));
   });
   // --- M²Paxos --------------------------------------------------------
   f.push_back([](sim::Rng& rng, int v) {
     return make_payload<m2p::Propose>(rand_cmd(rng, v));
   });
   f.push_back([](sim::Rng& rng, int v) {
-    return make_payload<m2p::Accept>(rng.next(), rand_slots(rng, v));
+    auto slots = rand_slots(rng, v);
+    return make_payload<m2p::Accept>(rng.next(), std::move(slots));
   });
   f.push_back([](sim::Rng& rng, int v) {
     auto m = std::make_shared<m2p::AckAccept>();
@@ -281,8 +320,11 @@ std::vector<Factory> all_factories() {
       m->votes.back().batch = rand_batch(rng, v, head);
     }
     const std::size_t nf = v == 0 ? 0 : rng.uniform(4);
-    for (std::size_t i = 0; i < nf; ++i)
-      m->delivered_floors.emplace_back(rng.next(), rng.next());
+    for (std::size_t i = 0; i < nf; ++i) {
+      const auto floor = rng.next();
+      const auto object = rng.next();
+      m->delivered_floors.emplace_back(object, floor);
+    }
     m->hints = rand_hints(rng, v);
     return m;
   });
@@ -299,7 +341,9 @@ std::vector<Factory> all_factories() {
   return f;
 }
 
-TEST(SerdeExhaustive, EveryKindRoundTripsByteExactly) {
+/// Visits the corpus: every kind, seeds 1..5, every variant (675 payloads).
+template <typename Visit>
+void for_each_corpus_payload(Visit visit) {
   const auto factories = all_factories();
   // 27 payload kinds exist today; a new message type must be added here.
   ASSERT_EQ(factories.size(), 27u);
@@ -309,22 +353,50 @@ TEST(SerdeExhaustive, EveryKindRoundTripsByteExactly) {
         sim::Rng rng(seed * 1000 + fi * kVariants + variant);
         const PayloadPtr p = factories[fi](rng, variant);
         ASSERT_NE(p, nullptr);
-        const auto bytes = encode_payload(*p);
-        EXPECT_EQ(bytes.size(), p->wire_size())
-            << p->name() << " seed " << seed << " variant " << variant;
-        const PayloadPtr back = decode_payload(bytes);
-        ASSERT_NE(back, nullptr)
-            << p->name() << " seed " << seed << " variant " << variant;
-        EXPECT_EQ(back->kind(), p->kind());
-        const auto bytes2 = encode_payload(*back);
-        EXPECT_EQ(bytes2, bytes)
-            << p->name() << " seed " << seed << " variant " << variant
-            << ": re-encoding the decoded payload changed the bytes";
-        EXPECT_EQ(back->wire_size(), bytes.size())
-            << p->name() << " seed " << seed << " variant " << variant;
+        visit(*p, std::string(p->name()) + " seed " + std::to_string(seed) +
+                      " variant " + std::to_string(variant));
       }
     }
   }
+}
+
+TEST(SerdeExhaustive, EveryKindRoundTripsByteExactly) {
+  for_each_corpus_payload([](const Payload& p, const std::string& label) {
+    const auto bytes = encode_payload(p);
+    EXPECT_EQ(bytes.size(), p.wire_size()) << label;
+    const PayloadPtr back = decode_payload(bytes);
+    ASSERT_NE(back, nullptr) << label;
+    EXPECT_EQ(back->kind(), p.kind());
+    const auto bytes2 = encode_payload(*back);
+    EXPECT_EQ(bytes2, bytes)
+        << label << ": re-encoding the decoded payload changed the bytes";
+    EXPECT_EQ(back->wire_size(), bytes.size()) << label;
+  });
+}
+
+TEST(SerdeExhaustive, CorpusEncodingsArePinned) {
+  // 64-bit FNV-1a over the concatenated corpus encodings, in visiting
+  // order. Any change to any message's bytes changes it: a wire-format
+  // change must update this value on purpose.
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::size_t total = 0;
+  for_each_corpus_payload([&](const Payload& p, const std::string&) {
+    for (const std::uint8_t b : encode_payload(p)) {
+      digest = (digest ^ b) * 0x100000001b3ULL;
+      ++total;
+    }
+  });
+  EXPECT_EQ(total, 348866u);
+  EXPECT_EQ(digest, 0x846a14cc302a1e31ULL);
+}
+
+TEST(SerdeExhaustive, EveryStrictPrefixFailsToDecode) {
+  for_each_corpus_payload([](const Payload& p, const std::string& label) {
+    const auto bytes = encode_payload(p);
+    for (std::size_t n = 0; n < bytes.size(); ++n)
+      ASSERT_EQ(decode_payload(bytes.data(), n), nullptr)
+          << label << ": " << n << " of " << bytes.size() << " bytes";
+  });
 }
 
 TEST(SerdeExhaustive, KindCoverageMatchesDecoder) {

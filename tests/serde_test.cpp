@@ -77,17 +77,17 @@ TEST(Serde, MultiPaxosMessages) {
     p.acceptor = 1;
     p.ack = true;
     p.first_undelivered = 6;
-    p.votes.push_back({7, 2, c, {}});
+    p.votes.push_back({7, 2, std::make_shared<const core::Command>(c), {}});
     const auto back = round_trip(p);
     EXPECT_EQ(back->first_undelivered, 6u);
     ASSERT_EQ(back->votes.size(), 1u);
     EXPECT_EQ(back->votes[0].slot, 7u);
-    EXPECT_EQ(back->votes[0].cmd.id, c.id);
+    EXPECT_EQ(back->votes[0].cmd->id, c.id);
   }
   {
     const auto back = round_trip(mp::Accept(3, 8, c));
     EXPECT_EQ(back->slot, 8u);
-    EXPECT_EQ(back->cmd.objects, c.objects);
+    EXPECT_EQ(back->cmd->objects, c.objects);
   }
   {
     mp::Accepted a;
@@ -484,32 +484,36 @@ TEST(Serde, M2PaxosDistinctHeadsEncodingIsPinned) {
 }
 
 TEST(Serde, MultiPaxosBatchTails) {
-  auto h = cmd(0, 1, {3});
-  auto t1 = cmd(0, 2, {3});
-  auto t2 = cmd(1, 5, {3});
-  const std::vector<core::Command> tail = {t1, t2};
+  const auto h = std::make_shared<const core::Command>(cmd(0, 1, {3}));
+  const auto t1 = cmd(0, 2, {3});
+  const auto t2 = cmd(1, 5, {3});
+  auto batch = std::make_shared<core::CommandBatch>();
+  batch->cmds.push_back(h);
+  batch->cmds.push_back(std::make_shared<const core::Command>(t1));
+  batch->cmds.push_back(std::make_shared<const core::Command>(t2));
   {
-    const auto back = round_trip(mp::Accept(3, 8, h, tail));
-    EXPECT_EQ(back->cmd.id, h.id);
-    ASSERT_EQ(back->tail.size(), 2u);
-    EXPECT_EQ(back->tail[0].id, t1.id);
-    EXPECT_EQ(back->tail[1].id, t2.id);
+    const auto back = round_trip(mp::Accept(3, 8, h, batch));
+    EXPECT_EQ(back->cmd->id, h->id);
+    ASSERT_EQ(back->batch->cmds.size(), 3u);
+    EXPECT_EQ(back->batch->cmds[0], back->cmd);
+    EXPECT_EQ(back->batch->cmds[1]->id, t1.id);
+    EXPECT_EQ(back->batch->cmds[2]->id, t2.id);
   }
   {
-    const auto back = round_trip(mp::Commit(8, h, tail));
-    ASSERT_EQ(back->tail.size(), 2u);
-    EXPECT_EQ(back->tail[1].id, t2.id);
+    const auto back = round_trip(mp::Commit(8, h, batch));
+    ASSERT_EQ(back->batch->cmds.size(), 3u);
+    EXPECT_EQ(back->batch->cmds[2]->id, t2.id);
   }
   {
     mp::Promise p;
     p.ballot = 3;
     p.acceptor = 1;
     p.ack = true;
-    p.votes.push_back({7, 2, h, tail});
+    p.votes.push_back({7, 2, h, batch});
     const auto back = round_trip(p);
     ASSERT_EQ(back->votes.size(), 1u);
-    ASSERT_EQ(back->votes[0].tail.size(), 2u);
-    EXPECT_EQ(back->votes[0].tail[0].id, t1.id);
+    ASSERT_EQ(back->votes[0].batch->cmds.size(), 3u);
+    EXPECT_EQ(back->votes[0].batch->cmds[1]->id, t1.id);
   }
 }
 
@@ -570,6 +574,19 @@ TEST(Serde, MalformedInputNeverCrashes) {
         static_cast<std::uint8_t>(1 << rng.uniform(8));
     decode_payload(mutated);
   }
+}
+
+TEST(Serde, TrailingBytesRejected) {
+  // A message must span the whole input: one byte past a well-formed
+  // Accept makes the input malformed. decode_next, which reads one message
+  // of a multi-message frame, stops right after the Accept instead.
+  auto bytes = encode_payload(m2p::Accept(42, {{3, 1, 2, cmd(2, 11, {3})}}));
+  ASSERT_NE(decode_payload(bytes), nullptr);
+  bytes.push_back(0);
+  EXPECT_EQ(decode_payload(bytes), nullptr);
+  Reader r(bytes);
+  EXPECT_NE(decode_next(r), nullptr);
+  EXPECT_EQ(r.remaining(), 1u);
 }
 
 TEST(Serde, UnknownKindRejected) {
