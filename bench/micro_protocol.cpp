@@ -23,36 +23,15 @@
 //
 // M2_BENCH_QUICK=1 shrinks the measurement windows for smoke runs (<5 s).
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_counter.hpp"
 #include "bench_common.hpp"
 #include "harness/cluster.hpp"
 #include "m2paxos/m2paxos.hpp"
 #include "stats/export.hpp"
 #include "workload/synthetic.hpp"
-
-// ---------------------------------------------------------------------
-// Allocation counting: replace global operator new/delete.
-// ---------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace m2::bench {
 namespace {
@@ -180,13 +159,13 @@ MixResult run_mix(wl::Workload& workload, sim::Time sim_warmup,
   // steady state.
   MixResult r;
   const std::uint64_t decided_before = cluster.delivered_at(0);
-  const std::uint64_t allocs_before = g_allocations.load();
+  const std::uint64_t allocs_before = allocations();
   WallTimer timer;
   cluster.run_for(sim_measure);
   const double dt = timer.elapsed_seconds();
 
   r.decided = cluster.delivered_at(0) - decided_before;
-  r.steady_allocations = g_allocations.load() - allocs_before;
+  r.steady_allocations = allocations() - allocs_before;
   r.decided_per_sec = static_cast<double>(r.decided) / dt;
   r.allocs_per_decided =
       r.decided ? static_cast<double>(r.steady_allocations) /

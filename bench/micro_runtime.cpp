@@ -30,13 +30,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "bench_common.hpp"
 #include "m2paxos/messages.hpp"
 #include "net/serde.hpp"
@@ -45,25 +43,6 @@
 #include "runtime/tcp_transport.hpp"
 #include "runtime/transport.hpp"
 #include "stats/export.hpp"
-
-// ---------------------------------------------------------------------
-// Allocation counting: replace global operator new/delete.
-// ---------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace m2::bench {
 namespace {
@@ -145,12 +124,12 @@ MixResult run_loopback(std::uint64_t warmup_msgs, std::uint64_t measure_msgs) {
 
   pump(warmup_msgs);
   MixResult r;
-  const std::uint64_t allocs_before = g_allocations.load();
+  const std::uint64_t allocs_before = allocations();
   WallTimer timer;
   pump(measure_msgs);
   const double dt = timer.elapsed_seconds();
   r.msgs = measure_msgs;
-  r.steady_allocations = g_allocations.load() - allocs_before;
+  r.steady_allocations = allocations() - allocs_before;
   r.msgs_per_sec = static_cast<double>(r.msgs) / dt;
   r.allocs_per_msg =
       static_cast<double>(r.steady_allocations) / static_cast<double>(r.msgs);
@@ -187,12 +166,12 @@ MixResult run_loopback_bcast(std::uint64_t warmup_calls,
 
   pump(warmup_calls);
   MixResult r;
-  const std::uint64_t allocs_before = g_allocations.load();
+  const std::uint64_t allocs_before = allocations();
   WallTimer timer;
   pump(measure_calls);
   const double dt = timer.elapsed_seconds();
   r.msgs = measure_calls * (kNodes - 1);  // delivered messages
-  r.steady_allocations = g_allocations.load() - allocs_before;
+  r.steady_allocations = allocations() - allocs_before;
   r.msgs_per_sec = static_cast<double>(r.msgs) / dt;
   r.allocs_per_msg =
       static_cast<double>(r.steady_allocations) / static_cast<double>(r.msgs);
@@ -264,7 +243,7 @@ MixResult run_tcp(std::uint64_t warmup_msgs, std::uint64_t measure_msgs) {
   };
 
   pump(warmup_msgs);
-  const std::uint64_t allocs_before = g_allocations.load();
+  const std::uint64_t allocs_before = allocations();
   WallTimer timer;
   pump(measure_msgs);
   const double dt = timer.elapsed_seconds();
@@ -275,7 +254,7 @@ MixResult run_tcp(std::uint64_t warmup_msgs, std::uint64_t measure_msgs) {
     return {};
   }
   r.msgs = measure_msgs;
-  r.steady_allocations = g_allocations.load() - allocs_before;
+  r.steady_allocations = allocations() - allocs_before;
   r.msgs_per_sec = static_cast<double>(r.msgs) / dt;
   r.allocs_per_msg =
       static_cast<double>(r.steady_allocations) / static_cast<double>(r.msgs);

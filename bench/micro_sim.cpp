@@ -12,35 +12,14 @@
 //
 // M2_BENCH_QUICK=1 shrinks the event counts for smoke runs (<5 s).
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_counter.hpp"
 #include "bench_common.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "stats/export.hpp"
-
-// ---------------------------------------------------------------------
-// Allocation counting: replace global operator new/delete.
-// ---------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace m2::bench {
 namespace {
@@ -125,12 +104,12 @@ MixResult run_schedule_fire(std::uint64_t target) {
 
   WallTimer timer;
   sim.run(target / 8);  // warmup: vectors reach steady-state capacity
-  const std::uint64_t allocs_before = g_allocations.load();
+  const std::uint64_t allocs_before = allocations();
   const std::uint64_t events_before = sim.events_executed();
   sim.run();
   MixResult r;
   r.events_per_sec = static_cast<double>(fired) / timer.elapsed_seconds();
-  r.steady_allocations = g_allocations.load() - allocs_before;
+  r.steady_allocations = allocations() - allocs_before;
   r.steady_events = sim.events_executed() - events_before;
   return r;
 }
@@ -142,14 +121,14 @@ MixResult run_schedule_fire_cancel(std::uint64_t target) {
 
   WallTimer timer;
   sim.run(target / 8);
-  const std::uint64_t allocs_before = g_allocations.load();
+  const std::uint64_t allocs_before = allocations();
   const std::uint64_t events_before = sim.events_executed();
   sim.run();
   MixResult r;
   // Two schedules per firing: report scheduled events/sec like the
   // baseline measurement did.
   r.events_per_sec = 2.0 * static_cast<double>(fired) / timer.elapsed_seconds();
-  r.steady_allocations = g_allocations.load() - allocs_before;
+  r.steady_allocations = allocations() - allocs_before;
   r.steady_events = sim.events_executed() - events_before;
   return r;
 }

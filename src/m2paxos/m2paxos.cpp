@@ -3,7 +3,6 @@
 #include "sim/rng.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <deque>
 #include <functional>
 #include <map>
@@ -132,8 +131,7 @@ void M2PaxosReplica::handle_sync_request(NodeId from, const SyncRequest& msg) {
          in < st->log.end() && slots.size() < kMaxSyncReplySlots; ++in) {
       const Slot* s = st->log.find(in);
       if (s == nullptr || !s->decided) continue;
-      slots.emplace_back(e.object, in, Epoch{0}, s->decided,
-                         s->decided_batch);
+      slots.emplace_back(e.object, in, Epoch{0}, s->cmd, s->batch);
     }
   }
   if (!slots.empty())
@@ -230,7 +228,10 @@ void M2PaxosReplica::prewarm_commands(std::size_t n) {
     blocks.push_back(pooled<core::Command>());
 }
 
-void M2PaxosReplica::gc_object(ObjectState& st) {
+void M2PaxosReplica::advance_frontier(ObjectState& st) {
+  ++st.last_appended;
+  st.next_slot = std::max(st.next_slot, st.last_appended + 1);
+  if (!stuck_objects_.empty()) stuck_objects_.erase(st.id);
   // Frontier GC: slots this far behind the delivery frontier are dead to
   // the protocol (position selection starts at last_appended+1, duplicate
   // proposals are filtered through delivered_ids_) and outside the window
@@ -396,7 +397,7 @@ void M2PaxosReplica::collect_blocked(const core::Command& root,
       blocked.push_back(l);
       continue;
     }
-    const core::Command& c = *s->decided;
+    const core::Command& c = *s->cmd;
     if (delivered_ids_.contains(c.id)) {
       // A duplicate decision of an already-delivered command parked at the
       // frontier; re-scan the object so try_deliver's skip path advances.
@@ -689,10 +690,10 @@ void M2PaxosReplica::handle_accept(NodeId from, const Accept& msg) {
       // a late accept there is outdated and its vote can never matter.
       if (s.instance < st.log.base()) continue;
       Slot& slot = st.log.at_or_create(s.instance);
-      if (s.epoch >= slot.accepted_epoch) {
+      if (!slot.decided && s.epoch >= slot.accepted_epoch) {
         slot.accepted_epoch = s.epoch;
-        slot.accepted = s.cmd;
-        slot.accepted_batch = s.batch;
+        slot.cmd = s.cmd;
+        slot.batch = s.batch;
       }
     }
   } else {
@@ -815,24 +816,9 @@ void M2PaxosReplica::decide_slot(ObjectId l, Instance in,
                                  const core::CommandPtr& c,
                                  const core::CommandBatchPtr& batch) {
   ObjectState& st = table_.obj(l);
-  // Below the base the slot was decided, delivered, and truncated by
-  // frontier GC; a late decide is a stale duplicate.
-  if (in < st.log.base()) return;
-  Slot& slot = st.log.at_or_create(in);
-  if (slot.decided) {
-    if (cfg_.test_unsafe_epochs && slot.decided->id != c->id) {
-      // Broken-build mode: rebind silently so the auditor — not a process
-      // abort — is what reports the violation.
-      slot.decided = c;
-      slot.decided_batch = batch;
-      ctx_.decided(l, in, *c);
-      return;
-    }
-    assert(slot.decided->id == c->id && "two commands decided in one slot");
+  // test_unsafe_epochs rebinds conflicts: the auditor, not an abort, reports.
+  if (!OwnershipTable::set_decided(st, in, c, batch, cfg_.test_unsafe_epochs))
     return;
-  }
-  slot.decided = c;
-  slot.decided_batch = batch;
   ctx_.decided(l, in, *c);
   ++counters_.decided_slots;
   m_inc(stats::Counter::kDecidedSlots);
@@ -873,14 +859,11 @@ void M2PaxosReplica::deliver_command(const core::CommandPtr& c,
     ObjectState& st2 =
         (hint != nullptr && hint->id == l2) ? *hint : table_.obj(l2);
     const Slot* s2 = st2.log.find(st2.last_appended + 1);
-    if (s2 != nullptr && s2->decided && s2->decided->id == c->id) {
+    if (s2 != nullptr && s2->decided && s2->cmd->id == c->id) {
       // Only a single-object command can head a batch, so at most one
       // batched slot is advanced per delivery.
-      if (s2->decided_batch != nullptr) tail_batch = s2->decided_batch;
-      ++st2.last_appended;
-      st2.next_slot = std::max(st2.next_slot, st2.last_appended + 1);
-      gc_object(st2);
-      if (!stuck_objects_.empty()) stuck_objects_.erase(l2);
+      if (s2->batch != nullptr) tail_batch = s2->batch;
+      advance_frontier(st2);
       dirty_objects_.push_back(&st2);
     }
   }
@@ -957,9 +940,8 @@ void M2PaxosReplica::try_deliver() {
         // Keep the command alive across the frontier advance: GC may
         // truncate the very slot holding it. A handle copy, not a deep
         // command copy.
-        const core::CommandPtr c = s->decided;
-
-        const core::CommandBatchPtr batch = s->decided_batch;
+        const core::CommandPtr c = s->cmd;
+        const core::CommandBatchPtr batch = s->batch;
         if (batch != nullptr) {
           // Batched slot: every member is a single-object command on `l`,
           // so the whole batch is deliverable the moment its slot reaches
@@ -970,20 +952,14 @@ void M2PaxosReplica::try_deliver() {
             if (delivered_ids_.contains(m->id)) continue;
             deliver_batch_member(m);
           }
-          ++st.last_appended;
-          st.next_slot = std::max(st.next_slot, st.last_appended + 1);
-          gc_object(st);
-          stuck_objects_.erase(l);
+          advance_frontier(st);
           continue;
         }
 
         if (delivered_ids_.contains(c->id)) {
           // Duplicate decision of an already-delivered command (possible
           // after retransmissions and crossing resolution); skip the slot.
-          ++st.last_appended;
-          st.next_slot = std::max(st.next_slot, st.last_appended + 1);
-          gc_object(st);
-          stuck_objects_.erase(l);
+          advance_frontier(st);
           continue;
         }
 
@@ -995,7 +971,7 @@ void M2PaxosReplica::try_deliver() {
           if (l2 == l) continue;
           const ObjectState& st2 = table_.obj(l2);
           const Slot* s2 = st2.log.find(st2.last_appended + 1);
-          if (s2 == nullptr || !s2->decided || s2->decided->id != c->id) {
+          if (s2 == nullptr || !s2->decided || s2->cmd->id != c->id) {
             ready = false;
             break;
           }
@@ -1039,7 +1015,7 @@ bool M2PaxosReplica::resolve_crossings() {
     ObjectState& st = table_.obj(l);
     const Slot* s = st.log.find(st.last_appended + 1);
     if (s == nullptr || !s->decided) continue;
-    const core::CommandPtr& c = s->decided;
+    const core::CommandPtr& c = s->cmd;
     if (delivered_ids_.contains(c->id) || cands.count(c->id) > 0) continue;
 
     Candidate cand;
@@ -1052,8 +1028,7 @@ bool M2PaxosReplica::resolve_crossings() {
         complete = false;  // wait for the missing decision instead
         break;
       }
-      if (s2->decided->id != c->id)
-        cand.waits_on.push_back(s2->decided->id);
+      if (s2->cmd->id != c->id) cand.waits_on.push_back(s2->cmd->id);
     }
     if (complete) cands.emplace(c->id, std::move(cand));
   }
@@ -1215,15 +1190,10 @@ void M2PaxosReplica::handle_prepare(NodeId from, const Prepare& msg) {
       for (Instance in = std::max(e.from_instance, st.log.base());
            in < st.log.end(); ++in) {
         const Slot& slot = *st.log.find(in);
-        if (slot.decided) {
-          reply->votes.emplace_back(e.object, in, slot.accepted_epoch, true,
-                                    slot.decided);
-          reply->votes.back().batch = slot.decided_batch;
-        } else if (slot.accepted) {
-          reply->votes.emplace_back(e.object, in, slot.accepted_epoch, false,
-                                    slot.accepted);
-          reply->votes.back().batch = slot.accepted_batch;
-        }
+        if (slot.cmd == nullptr) continue;
+        reply->votes.emplace_back(e.object, in, slot.accepted_epoch,
+                                  slot.decided, slot.cmd);
+        reply->votes.back().batch = slot.batch;
       }
     }
   } else {

@@ -257,9 +257,10 @@ class M2PaxosReplica final : public core::Replica {
   void apply_hints(const std::vector<ViewHint>& hints);
   core::CommandPtr make_noop(ObjectId l);
   core::ObjectList undecided_objects(const core::Command& c) const;
-  /// Frontier GC: truncates `st`'s log below last_appended+1 minus the
-  /// configured margin (cfg.gc_margin), bounding per-object log memory.
-  void gc_object(ObjectState& st);
+  /// Moves `st`'s delivery frontier past its delivered (or skipped) slot,
+  /// then truncates the log below the new frontier minus cfg.gc_margin,
+  /// bounding per-object log memory.
+  void advance_frontier(ObjectState& st);
 
   core::PoolRef pool_ = core::make_pool();
   /// cfg_.batching as consumed (pipeline_depth/batch_max_commands clamped).

@@ -3,6 +3,21 @@
 #include <algorithm>
 
 namespace m2::m2p {
+namespace {
+
+/// True iff `s` holds the slot value (c, batch): the same head and the
+/// same batch members in order.
+bool same_value(const Slot& s, const CommandPtr& c,
+                const core::CommandBatchPtr& batch) {
+  if (s.cmd == nullptr || s.cmd->id != c->id) return false;
+  if (s.batch == nullptr || batch == nullptr) return s.batch == batch;
+  return std::equal(
+      s.batch->cmds.begin(), s.batch->cmds.end(), batch->cmds.begin(),
+      batch->cmds.end(),
+      [](const CommandPtr& a, const CommandPtr& b) { return a->id == b->id; });
+}
+
+}  // namespace
 
 ObjectState& OwnershipTable::obj(ObjectId l) {
   ++lookups_;
@@ -79,9 +94,9 @@ bool OwnershipTable::decided_in_state(const ObjectState& st,
   for (Instance in = from; in < st.log.end(); ++in) {
     const Slot* s = st.log.find(in);
     if (s == nullptr || !s->decided) continue;
-    if (s->decided->id == c.id) return true;
-    if (s->decided_batch != nullptr) {
-      for (const CommandPtr& m : s->decided_batch->cmds)
+    if (s->cmd->id == c.id) return true;
+    if (s->batch != nullptr) {
+      for (const CommandPtr& m : s->batch->cmds)
         if (m->id == c.id) return true;
     }
   }
@@ -99,12 +114,22 @@ bool OwnershipTable::is_decided_everywhere(const Command& c) const {
   return true;
 }
 
-bool OwnershipTable::set_decided(ObjectId l, Instance in, CommandPtr c) {
-  ObjectState& st = obj(l);
+bool OwnershipTable::set_decided(ObjectState& st, Instance in,
+                                 const CommandPtr& c,
+                                 const core::CommandBatchPtr& batch,
+                                 bool rebind) {
   if (in < st.log.base()) return false;  // truncated: decided and delivered
   Slot& slot = st.log.at_or_create(in);
-  if (slot.decided) return false;
-  slot.decided = std::move(c);
+  if (slot.decided) {
+    const bool same_head = slot.cmd->id == c->id;
+    assert((same_head || rebind) && "two commands decided in one slot");
+    if (same_head || !rebind) return false;
+  }
+  slot.decided = true;
+  if (!same_value(slot, c, batch)) {  // else keep the accepted handles
+    slot.cmd = c;
+    slot.batch = batch;
+  }
   return true;
 }
 

@@ -17,19 +17,18 @@ using core::Epoch;
 using core::Instance;
 using core::ObjectId;
 
-/// Acceptor/learner state of one consensus instance ⟨l, in⟩:
-/// Rdec/Vdec of the paper plus the learned decision. Commands are shared
-/// immutable handles — the same allocation the Accept/Decide carried.
+/// Acceptor/learner state of one consensus instance ⟨l, in⟩: one value,
+/// the vote until the slot is decided and the decision afterwards (a
+/// decided vote always wins SELECT; DESIGN.md §5a). Commands are shared
+/// immutable handles — the allocation an Accept or Decide carried.
 struct Slot {
   Epoch accepted_epoch = 0;  // Rdec[l][in]
-  CommandPtr accepted;       // Vdec[l][in]
-  CommandPtr decided;        // Decided[l][in]
-  /// Batched slot values: the full batch behind the head command held in
-  /// accepted/decided (null for single-command slots). Retained alongside
-  /// the head so recovery votes and anti-entropy replies can reproduce the
-  /// whole slot value, and delivery can unroll the members.
-  core::CommandBatchPtr accepted_batch;
-  core::CommandBatchPtr decided_batch;
+  CommandPtr cmd;            // Vdec[l][in]; Decided[l][in] once `decided`
+  /// Batched slot values: the full batch behind the head `cmd` (null for
+  /// single-command slots), so recovery votes and anti-entropy replies
+  /// reproduce the whole slot value and delivery can unroll the members.
+  core::CommandBatchPtr batch;
+  bool decided = false;
 };
 
 /// Contiguous per-object slot log indexed by instance: a power-of-two ring
@@ -197,10 +196,14 @@ class OwnershipTable {
   /// True iff `c` is decided on all objects it accesses.
   bool is_decided_everywhere(const Command& c) const;
 
-  /// Records a decision; returns true if the slot's decision was new.
-  /// Decisions below the GC horizon are stale duplicates (truncated slots
-  /// were decided and delivered) and are ignored.
-  bool set_decided(ObjectId l, Instance in, CommandPtr c);
+  /// The one writer of decisions: records (c, batch) as decided at `in`;
+  /// true if new. Decisions below the GC horizon are stale duplicates and
+  /// ignored. A matching accepted value keeps its handles (one command
+  /// block per slot). A conflicting decision is asserted against, unless
+  /// `rebind` (the broken test_unsafe_epochs build) overwrites it.
+  static bool set_decided(ObjectState& st, Instance in, const CommandPtr& c,
+                          const core::CommandBatchPtr& batch = nullptr,
+                          bool rebind = false);
 
   /// First instance of `l` with no decided command, starting the scan at
   /// the delivery frontier (instances <= last_appended are all decided).

@@ -175,19 +175,17 @@ void MultiPaxosReplica::lead(const Command& c) {
     auto sit = slots_.find(ait->second);
     if (sit != slots_.end()) {
       const SlotState& st = sit->second;
-      if (st.committed && slot_holds(st.committed, st.committed_batch, c.id)) {
+      if (st.committed && slot_holds(st.cmd, st.batch, c.id)) {
         m_inc(stats::Counter::kRetransmissions);
-        ctx_.broadcast(net::make_payload<Commit>(sit->first, st.committed,
-                                                 st.committed_batch),
-                       false);
+        ctx_.broadcast(
+            net::make_payload<Commit>(sit->first, st.cmd, st.batch), false);
         return;
       }
-      if (st.accepted && st.accepted_ballot == ballot_ &&
-          slot_holds(st.accepted, st.accepted_batch, c.id)) {
+      if (st.cmd && st.accepted_ballot == ballot_ &&
+          slot_holds(st.cmd, st.batch, c.id)) {
         m_inc(stats::Counter::kRetransmissions);
-        ctx_.broadcast(net::make_payload<Accept>(ballot_, sit->first,
-                                                 st.accepted,
-                                                 st.accepted_batch),
+        ctx_.broadcast(net::make_payload<Accept>(ballot_, sit->first, st.cmd,
+                                                 st.batch),
                        true);
         return;
       }
@@ -283,9 +281,9 @@ void MultiPaxosReplica::handle_accepted(const Accepted& msg) {
     return;  // duplicate ack from a retransmission
   st.ackers.push_back(msg.acceptor);
   if (static_cast<int>(st.ackers.size()) < cfg_.classic_quorum()) return;
-  if (!st.accepted) return;  // quorum acks but our own accept not processed yet
-  CommandPtr cmd = st.accepted;
-  CommandBatchPtr batch = st.accepted_batch;
+  if (!st.cmd) return;  // quorum acks but our own accept not processed yet
+  CommandPtr cmd = st.cmd;
+  CommandBatchPtr batch = st.batch;
   commit_slot(msg.slot, cmd, batch);
   ++counters_.commits;
   ctx_.broadcast(
@@ -306,10 +304,10 @@ void MultiPaxosReplica::handle_accept(NodeId from, const Accept& msg) {
     promised_ = msg.ballot;
     leader_ = static_cast<NodeId>(msg.ballot % cfg_.n_nodes);
     SlotState& st = slots_[msg.slot];
-    if (msg.ballot >= st.accepted_ballot) {
+    if (!st.committed && msg.ballot >= st.accepted_ballot) {
       st.accepted_ballot = msg.ballot;
-      st.accepted = msg.cmd;
-      st.accepted_batch = msg.batch;
+      st.cmd = msg.cmd;
+      st.batch = msg.batch;
     }
     reply->ack = true;
   } else {
@@ -329,14 +327,11 @@ void MultiPaxosReplica::handle_prepare(NodeId from, const Prepare& msg) {
     reply->ack = true;
     for (auto it = slots_.lower_bound(msg.from_slot); it != slots_.end(); ++it) {
       const SlotState& st = it->second;
-      if (st.committed) {
-        reply->votes.push_back(Promise::Vote{it->first, UINT64_MAX,
-                                             st.committed,
-                                             st.committed_batch});
-      } else if (st.accepted) {
-        reply->votes.push_back(Promise::Vote{it->first, st.accepted_ballot,
-                                             st.accepted, st.accepted_batch});
-      }
+      if (!st.cmd) continue;
+      // Committed votes carry UINT64_MAX: they win every SELECT.
+      reply->votes.push_back(Promise::Vote{
+          it->first, st.committed ? UINT64_MAX : st.accepted_ballot, st.cmd,
+          st.batch});
     }
   } else {
     reply->ack = false;
@@ -448,11 +443,12 @@ void MultiPaxosReplica::commit_slot(std::uint64_t slot, CommandPtr cmd,
                                     CommandBatchPtr batch) {
   SlotState& st = slots_[slot];
   if (st.committed) {
-    assert(st.committed->id == cmd->id && "two commands committed in one slot");
+    assert(st.cmd->id == cmd->id && "two commands committed in one slot");
     return;
   }
-  st.committed = cmd;
-  st.committed_batch = batch;
+  st.cmd = cmd;
+  st.batch = batch;
+  st.committed = true;
   // Single log: slot key is ⟨object 0, log index⟩; a batched slot decides
   // once with its head (the tail rides inside the slot value).
   m_inc(stats::Counter::kDecidedSlots);
@@ -490,8 +486,8 @@ void MultiPaxosReplica::try_deliver() {
   for (;;) {
     auto it = slots_.find(last_delivered_ + 1);
     if (it == slots_.end() || !it->second.committed) return;
-    const CommandPtr head = std::move(it->second.committed);
-    const CommandBatchPtr batch = std::move(it->second.committed_batch);
+    const CommandPtr head = std::move(it->second.cmd);
+    const CommandBatchPtr batch = std::move(it->second.batch);
     ++last_delivered_;
     slots_.erase(it);  // slots below the delivery frontier are never re-read
 

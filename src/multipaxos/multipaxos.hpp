@@ -190,14 +190,14 @@ class MultiPaxosReplica final : public core::Replica {
  private:
   struct SlotState {
     Ballot accepted_ballot = 0;  // highest ballot a value was accepted at
-    // Accepted and committed slot values (null until set): the head and,
-    // for a batched slot, the whole batch, so promises, retransmissions,
-    // and delivery all see every member.
-    CommandPtr accepted;
-    CommandBatchPtr accepted_batch;
-    CommandPtr committed;
-    CommandBatchPtr committed_batch;
-    std::vector<NodeId> ackers;  // leader-side phase-2 acks (deduplicated)
+    // The slot value (null until set): the accepted vote until the slot
+    // commits, the committed value afterwards. The head and, for a batched
+    // slot, the whole batch, so promises, retransmissions, and delivery all
+    // see every member.
+    CommandPtr cmd;
+    CommandBatchPtr batch;
+    bool committed = false;
+    core::SmallVec<NodeId, 8> ackers;  // leader-side phase-2 acks (dedup)
   };
   struct PendingCommand {
     Command cmd;

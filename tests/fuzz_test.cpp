@@ -58,6 +58,13 @@ TEST(FaultSchedule, EveryFaultIsUndoneWithinHorizon) {
         case fuzz::FaultKind::kLatencyClear: slowed = 0; break;
         case fuzz::FaultKind::kDupSpike: ++duping; break;
         case fuzz::FaultKind::kDupClear: duping = 0; break;
+        case fuzz::FaultKind::kReset:
+        case fuzz::FaultKind::kCorrupt:
+        case fuzz::FaultKind::kThrottleSpike:
+        case fuzz::FaultKind::kThrottleClear:
+          ADD_FAILURE() << "transport-only fault without runtime_faults: "
+                        << action.to_string();
+          break;
       }
       // A live majority at every instant: at most floor((n-1)/2) down.
       ASSERT_LE(crashed, (cfg.n_nodes - 1) / 2) << "seed " << seed;

@@ -276,6 +276,13 @@ struct SweepParam {
   int objects;
 };
 
+// Names the test cases (gtest_discover_tests prints the parameter into each
+// name). gtest's default byte dump would include the struct's padding,
+// which is uninitialized, so the names would differ between builds.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << "n" << p.n_nodes << "_s" << p.seed << "_o" << p.objects;
+}
+
 class M2PaxosSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(M2PaxosSweep, ConflictHeavyWorkloadConvergesConsistently) {

@@ -216,6 +216,61 @@ TEST(M2PaxosUnit, SyncRequestServesRetainedDecisions) {
   EXPECT_EQ(reply->slots[0].cmd->id, c.id);
 }
 
+TEST(M2PaxosUnit, DecidedSlotKeepsTheAcceptedHandle) {
+  Fixture f;
+  const auto accepted = std::make_shared<const Command>(cmd(1, 1, {1500}));
+  f.replica.on_message(1, Accept(42, {{1500, 1, 0, accepted}}));
+  // Over a real transport the Decide decodes its own copy of the command.
+  f.replica.on_message(
+      1, Decide({{1500, 1, 0, std::make_shared<const Command>(*accepted)}}));
+  const Slot* slot = f.replica.table().find(1500)->log.find(1);
+  ASSERT_NE(slot, nullptr);
+  EXPECT_TRUE(slot->decided);
+  EXPECT_EQ(slot->cmd, accepted);  // one command block, not two
+  ASSERT_EQ(f.ctx.delivered.size(), 1u);
+}
+
+TEST(M2PaxosUnit, LaterAcceptLeavesADecidedSlotAlone) {
+  Fixture f;
+  const auto c1 = cmd(1, 1, {1500});
+  f.replica.on_message(1, Accept(42, {{1500, 1, 0, c1}}));
+  f.replica.on_message(1, Decide({{1500, 1, 0, c1}}));
+  // A higher-epoch Accept of another command at the decided slot is acked
+  // (the promise allows it) but changes neither value nor decision.
+  f.replica.on_message(2, Accept(43, {{1500, 1, 5, cmd(2, 9, {1500})}}));
+  const auto* ack = static_cast<const AckAccept*>(
+      find_last(f.ctx, net::kKindM2Paxos + 3));
+  ASSERT_NE(ack, nullptr);
+  EXPECT_TRUE(ack->ack);
+  const Slot* slot = f.replica.table().find(1500)->log.find(1);
+  ASSERT_NE(slot, nullptr);
+  EXPECT_TRUE(slot->decided);
+  EXPECT_EQ(slot->cmd->id, c1.id);
+  EXPECT_EQ(slot->accepted_epoch, 0u);
+
+  f.replica.on_message(2, Prepare(7, {{1500, 1, 6}}));
+  const auto* reply = static_cast<const AckPrepare*>(
+      find_last(f.ctx, net::kKindM2Paxos + 6));
+  ASSERT_NE(reply, nullptr);
+  ASSERT_TRUE(reply->ack);
+  ASSERT_EQ(reply->votes.size(), 1u);
+  EXPECT_TRUE(reply->votes[0].decided);
+  EXPECT_EQ(reply->votes[0].cmd->id, c1.id);
+}
+
+TEST(M2PaxosUnit, DecisionWithAnotherHeadReplacesTheAcceptedValue) {
+  Fixture f;
+  f.replica.on_message(1, Accept(42, {{1500, 1, 0, cmd(1, 1, {1500})}}));
+  const auto decided = std::make_shared<const Command>(cmd(2, 1, {1500}));
+  f.replica.on_message(2, Decide({{1500, 1, 0, decided}}));
+  const Slot* slot = f.replica.table().find(1500)->log.find(1);
+  ASSERT_NE(slot, nullptr);
+  EXPECT_TRUE(slot->decided);
+  EXPECT_EQ(slot->cmd, decided);
+  ASSERT_EQ(f.ctx.delivered.size(), 1u);
+  EXPECT_EQ(f.ctx.delivered[0].id, decided->id);
+}
+
 TEST(M2PaxosUnit, ForwardedProposeGoesToOwner) {
   Fixture f;
   // Object 1500 is owned by node 1 per the default map.

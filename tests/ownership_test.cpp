@@ -85,15 +85,15 @@ TEST(OwnershipTable, PluralityTieBreaksToLowestNode) {
 TEST(OwnershipTable, FirstUndecidedSkipsDecidedPrefix) {
   OwnershipTable t;
   EXPECT_EQ(t.first_undecided(9), 1u);
-  t.set_decided(9, 1, cptr(0, 1, {9}));
-  t.set_decided(9, 2, cptr(0, 2, {9}));
+  t.set_decided(t.obj(9), 1, cptr(0, 1, {9}));
+  t.set_decided(t.obj(9), 2, cptr(0, 2, {9}));
   EXPECT_EQ(t.first_undecided(9), 3u);
 }
 
 TEST(OwnershipTable, FirstUndecidedFindsGap) {
   OwnershipTable t;
-  t.set_decided(9, 1, cptr(0, 1, {9}));
-  t.set_decided(9, 3, cptr(0, 3, {9}));  // hole at 2
+  t.set_decided(t.obj(9), 1, cptr(0, 1, {9}));
+  t.set_decided(t.obj(9), 3, cptr(0, 3, {9}));  // hole at 2
   EXPECT_EQ(t.first_undecided(9), 2u);
 }
 
@@ -106,27 +106,27 @@ TEST(OwnershipTable, FirstUndecidedStartsAtFrontier) {
 
 TEST(OwnershipTable, SetDecidedIsIdempotent) {
   OwnershipTable t;
-  EXPECT_TRUE(t.set_decided(1, 1, cptr(0, 1, {1})));
-  EXPECT_FALSE(t.set_decided(1, 1, cptr(0, 1, {1})));
+  EXPECT_TRUE(t.set_decided(t.obj(1), 1, cptr(0, 1, {1})));
+  EXPECT_FALSE(t.set_decided(t.obj(1), 1, cptr(0, 1, {1})));
   EXPECT_TRUE(t.is_decided_on(cmd(0, 1, {1}), 1));
 }
 
 TEST(OwnershipTable, DecidedEverywhereNeedsAllObjects) {
   OwnershipTable t;
   const auto c = cptr(0, 1, {1, 2});
-  t.set_decided(1, 1, c);
+  t.set_decided(t.obj(1), 1, c);
   EXPECT_TRUE(t.is_decided_on(*c, 1));
   EXPECT_FALSE(t.is_decided_on(*c, 2));
   EXPECT_FALSE(t.is_decided_everywhere(*c));
-  t.set_decided(2, 5, c);  // positions may differ per object
+  t.set_decided(t.obj(2), 5, c);  // positions may differ per object
   EXPECT_TRUE(t.is_decided_everywhere(*c));
 }
 
 TEST(SlotLog, TruncateBelowDropsPrefixAndKeepsDecisions) {
   SlotLog log;
   for (Instance in = 1; in <= 10; ++in)
-    log.at_or_create(in).decided =
-        std::make_shared<const Command>(cmd(0, in, {1}));
+    log.at_or_create(in) = Slot{
+        0, std::make_shared<const Command>(cmd(0, in, {1})), nullptr, true};
   EXPECT_EQ(log.base(), 1u);
   EXPECT_EQ(log.end(), 11u);
 
@@ -136,8 +136,9 @@ TEST(SlotLog, TruncateBelowDropsPrefixAndKeepsDecisions) {
   EXPECT_EQ(log.find(6), nullptr);  // truncated
   ASSERT_NE(log.find(7), nullptr);
   // Retained decisions are byte-for-byte stable across the truncation.
-  EXPECT_EQ(log.find(7)->decided->id, cmd(0, 7, {1}).id);
-  EXPECT_EQ(log.find(10)->decided->id, cmd(0, 10, {1}).id);
+  EXPECT_TRUE(log.find(7)->decided);
+  EXPECT_EQ(log.find(7)->cmd->id, cmd(0, 7, {1}).id);
+  EXPECT_EQ(log.find(10)->cmd->id, cmd(0, 10, {1}).id);
 }
 
 TEST(SlotLog, TruncateEmptyLogJumpsBase) {
@@ -150,6 +151,7 @@ TEST(SlotLog, TruncateEmptyLogJumpsBase) {
   EXPECT_EQ(log.end(), 106u);
   ASSERT_NE(log.find(102), nullptr);
   EXPECT_FALSE(log.find(102)->decided);  // gap slot == map-absent
+  EXPECT_EQ(log.find(102)->cmd, nullptr);
 }
 
 TEST(OwnershipTable, SetDecidedBelowHorizonIsIgnored) {
@@ -157,8 +159,52 @@ TEST(OwnershipTable, SetDecidedBelowHorizonIsIgnored) {
   ObjectState& st = t.obj(1);
   st.log.truncate_below(50);
   st.last_appended = 49;
-  EXPECT_FALSE(t.set_decided(1, 10, cptr(0, 1, {1})));  // below base: stale
-  EXPECT_TRUE(t.set_decided(1, 50, cptr(0, 2, {1})));
+  EXPECT_FALSE(t.set_decided(st, 10, cptr(0, 1, {1})));  // below base: stale
+  EXPECT_TRUE(t.set_decided(st, 50, cptr(0, 2, {1})));
+}
+
+// One value per slot: the vote and, once decided, the decision.
+static_assert(sizeof(Slot) <= 48, "Slot holds one value, not two");
+
+core::CommandBatchPtr batch_of(std::initializer_list<CommandPtr> members) {
+  auto b = std::make_shared<core::CommandBatch>();
+  for (const CommandPtr& m : members) b->cmds.push_back(m);
+  return b;
+}
+
+TEST(OwnershipTable, SetDecidedKeepsTheMatchingAcceptedHandles) {
+  OwnershipTable t;
+  ObjectState& st = t.obj(1);
+  const CommandPtr head = cptr(0, 1, {1});
+  const auto batch = batch_of({head, cptr(0, 2, {1})});
+  st.log.at_or_create(1) = Slot{3, head, batch, false};  // the vote
+  // The Decide carries its own copies of the same slot value.
+  const CommandPtr head_copy = std::make_shared<const Command>(*head);
+  ASSERT_TRUE(t.set_decided(st, 1, head_copy,
+                            batch_of({head_copy, cptr(0, 2, {1})})));
+  const Slot& slot = *st.log.find(1);
+  EXPECT_TRUE(slot.decided);
+  EXPECT_EQ(slot.cmd, head);
+  EXPECT_EQ(slot.batch, batch);
+  EXPECT_EQ(slot.accepted_epoch, 3u);
+}
+
+TEST(OwnershipTable, SetDecidedReplacesADifferentAcceptedValue) {
+  OwnershipTable t;
+  ObjectState& st = t.obj(1);
+  const CommandPtr head = cptr(0, 1, {1});
+  st.log.at_or_create(1) = Slot{3, head, batch_of({head, cptr(0, 2, {1})}),
+                                false};
+  // Same head, different members: the decision is another value.
+  const auto decided = batch_of({head, cptr(0, 3, {1})});
+  ASSERT_TRUE(t.set_decided(st, 1, head, decided));
+  EXPECT_EQ(st.log.find(1)->batch, decided);
+  // Different head: replaced too.
+  st.log.at_or_create(2) = Slot{3, cptr(0, 4, {1}), nullptr, false};
+  const CommandPtr other = cptr(0, 5, {1});
+  ASSERT_TRUE(t.set_decided(st, 2, other));
+  EXPECT_EQ(st.log.find(2)->cmd, other);
+  EXPECT_EQ(st.log.find(2)->batch, nullptr);
 }
 
 }  // namespace
