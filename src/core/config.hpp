@@ -122,7 +122,8 @@ struct ClusterConfig {
   std::size_t gc_margin = 1024;
 
   /// M²Paxos crossing resolution is a recovery path: the (deterministic)
-  /// wait-cycle search runs at most once per interval, not per message.
+  /// wait-cycle search runs at most once per interval, not per message,
+  /// and covers the frontiers that moved since the previous search.
   Time crossing_check_interval = 2 * kMillisecond;
 
   /// M²Paxos acquisition fallback (§IV-C "bounding the communication

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
 #include <map>
 #include <unordered_map>
 
@@ -978,6 +977,12 @@ void M2PaxosReplica::try_deliver() {
         }
         if (!ready) {
           stuck_objects_.insert(l);
+          // A frontier that moved to a waiting command is the only place a
+          // new deliverable wait cycle can appear (see resolve_crossings).
+          if (!st.crossing_root) {
+            st.crossing_root = true;
+            crossing_roots_.push_back(&st);
+          }
           // Transitive demand: c may be waiting on an object whose frontier
           // decision this node simply never received (lost Decide during a
           // partition, with no later decision to expose the gap). That
@@ -1004,122 +1009,146 @@ void M2PaxosReplica::try_deliver() {
 }
 
 bool M2PaxosReplica::resolve_crossings() {
-  // Candidates: commands at a stuck frontier whose every accessed object
-  // has a decided frontier slot (so all wait-for edges are known locally).
-  struct Candidate {
-    core::CommandPtr cmd;
-    std::vector<core::CommandId> waits_on;
-  };
-  std::map<core::CommandId, Candidate> cands;
-  for (const ObjectId l : stuck_objects_) {
-    ObjectState& st = table_.obj(l);
+  // Delivers every sink SCC of >= 2 frontier commands whose members all
+  // have decided frontier slots on every object they access: the members
+  // wait only on each other, so no decision still to come can let one of
+  // them go first. The SCCs are a deterministic function of the decided
+  // table, so every node resolves identically (DESIGN.md §5a #6).
+  //
+  // Such an SCC appears only when the frontier of one of its members'
+  // objects changes, and then holds that object's new frontier command;
+  // try_deliver queues exactly those objects (crossing_roots_) when their
+  // new frontier command has to wait. So the search starts from the roots
+  // alone, and stops at an undecided frontier, a delivered command (never
+  // delivered twice) or a command already known to reach one: no member
+  // of a sink SCC can reach any of those.
+  ++counters_.crossing_checks;
+  m_inc(stats::Counter::kCrossingChecks);
+
+  // The decided command at l's frontier, or null if the slot is undecided.
+  auto head = [this](ObjectId l) -> const core::CommandPtr* {
+    const ObjectState& st = table_.obj(l);
     const Slot* s = st.log.find(st.last_appended + 1);
-    if (s == nullptr || !s->decided) continue;
-    const core::CommandPtr& c = s->cmd;
-    if (delivered_ids_.contains(c->id) || cands.count(c->id) > 0) continue;
+    return s != nullptr && s->decided ? &s->cmd : nullptr;
+  };
+  // Iterative Tarjan. A command is on the stack while its SCC is open, then
+  // settles as blocked (it reaches a blocker, or waits on nothing) or as a
+  // member of a deliverable SCC. A wait on any settled command blocks.
+  enum class Mark : std::uint8_t { kOnStack, kBlocked, kDeliverable };
+  struct Node {
+    std::uint32_t index;
+    std::uint32_t low;
+    Mark mark;
+  };
+  std::unordered_map<core::CommandId, Node> nodes;
+  struct Frame {
+    const core::CommandPtr* cmd;
+    std::size_t next_object;
+  };
+  std::vector<Frame> path;                          // DFS call stack
+  std::vector<const core::CommandPtr*> stack;       // Tarjan stack
+  std::vector<std::vector<core::CommandPtr>> sccs;  // deliverable, found
 
-    Candidate cand;
-    cand.cmd = c;
-    bool complete = true;
-    for (ObjectId l2 : c->objects) {
-      ObjectState& st2 = table_.obj(l2);
-      const Slot* s2 = st2.log.find(st2.last_appended + 1);
-      if (s2 == nullptr || !s2->decided) {
-        complete = false;  // wait for the missing decision instead
-        break;
-      }
-      if (s2->cmd->id != c->id) cand.waits_on.push_back(s2->cmd->id);
+  // Everything still on the Tarjan stack reaches the blocker just met.
+  auto block_stack = [&] {
+    for (const core::CommandPtr* c : stack)
+      nodes.at((*c)->id).mark = Mark::kBlocked;
+    stack.clear();
+    path.clear();
+  };
+  auto waits_on_blocker = [&](const core::Command& c) {
+    for (ObjectId l : c.objects) {
+      const core::CommandPtr* w = head(l);
+      if (w == nullptr) return true;
+      if ((*w)->id == c.id) continue;
+      if (delivered_ids_.contains((*w)->id)) return true;
+      const auto it = nodes.find((*w)->id);
+      if (it != nodes.end() && it->second.mark != Mark::kOnStack) return true;
     }
-    if (complete) cands.emplace(c->id, std::move(cand));
-  }
-  // Drop candidates waiting on a non-candidate: their progress depends on
-  // future decisions/deliveries, not on cycle breaking.
-  for (bool changed = true; changed;) {
-    changed = false;
-    for (auto it = cands.begin(); it != cands.end();) {
-      const bool external =
-          std::any_of(it->second.waits_on.begin(), it->second.waits_on.end(),
-                      [&](core::CommandId w) { return cands.count(w) == 0; });
-      if (external) {
-        it = cands.erase(it);
-        changed = true;
+    return false;
+  };
+  // Opens c, or blocks the whole stack if c waits on a blocker.
+  auto enter = [&](const core::CommandPtr* c) {
+    const auto n = static_cast<std::uint32_t>(nodes.size());
+    nodes.emplace((*c)->id, Node{n, n, Mark::kOnStack});
+    stack.push_back(c);
+    ++counters_.crossing_heads_visited;
+    m_inc(stats::Counter::kCrossingHeadsVisited);
+    if (waits_on_blocker(**c)) {
+      block_stack();
+    } else {
+      path.push_back(Frame{c, 0});
+    }
+  };
+
+  for (ObjectState* root : crossing_roots_) {
+    root->crossing_root = false;
+    const core::CommandPtr* c = head(root->id);
+    if (c == nullptr || nodes.count((*c)->id) > 0 ||
+        delivered_ids_.contains((*c)->id))
+      continue;
+    enter(c);
+    while (!path.empty()) {
+      const core::Command& v = **path.back().cmd;
+      Node& nv = nodes.at(v.id);
+      if (path.back().next_object < v.objects.size()) {
+        const core::CommandPtr* w = head(v.objects[path.back().next_object++]);
+        if ((*w)->id == v.id) continue;
+        const auto it = nodes.find((*w)->id);
+        if (it == nodes.end()) {
+          enter(w);
+        } else if (it->second.mark == Mark::kOnStack) {
+          nv.low = std::min(nv.low, it->second.index);
+        } else {
+          block_stack();
+        }
+        continue;
+      }
+      path.pop_back();
+      if (nv.low == nv.index) {
+        // v roots an SCC: every member's waits stay inside it. A singleton
+        // waits on nothing and is left to the normal delivery path.
+        std::vector<core::CommandPtr> scc;
+        const core::CommandPtr* m;
+        do {
+          m = stack.back();
+          stack.pop_back();
+          scc.push_back(*m);
+        } while ((*m)->id != v.id);
+        const Mark settled =
+            scc.size() >= 2 ? Mark::kDeliverable : Mark::kBlocked;
+        for (const core::CommandPtr& member : scc)
+          nodes.at(member->id).mark = settled;
+        if (settled == Mark::kDeliverable) sccs.push_back(std::move(scc));
+      }
+      if (path.empty()) break;
+      Node& parent = nodes.at((*path.back().cmd)->id);
+      if (nv.mark == Mark::kOnStack) {
+        parent.low = std::min(parent.low, nv.low);
       } else {
-        ++it;
+        block_stack();  // the parent waits on an SCC outside its own
       }
     }
   }
-  if (cands.empty()) return false;
+  crossing_roots_.clear();
+  if (sccs.empty()) return false;
 
-  // Every remaining candidate waits only on candidates, so the graph
-  // contains at least one cycle and at least one *sink* SCC (an SCC with
-  // no edges leaving it). Sink SCCs are a deterministic function of the
-  // decided table (a candidate's out-edges are fully known once all its
-  // frontier slots are decided, and decided slots agree across nodes), so
-  // delivering exactly the sink SCCs, each in ascending command-id order,
-  // resolves the crossing identically everywhere. Two conflicting
-  // candidates always end up in one SCC or connected by an edge, so
-  // distinct sink SCCs never conflict and their relative delivery order is
-  // free under Generalized Consensus.
-  std::unordered_map<std::uint64_t, std::uint32_t> index, lowlink;
-  std::unordered_map<std::uint64_t, bool> on_stack;
-  std::vector<core::CommandId> stack;
-  std::vector<std::vector<core::CommandId>> sccs;
-  std::uint32_t next_index = 1;
-
-  std::function<void(core::CommandId)> strongconnect =
-      [&](core::CommandId v) {
-        index[v.value] = lowlink[v.value] = next_index++;
-        stack.push_back(v);
-        on_stack[v.value] = true;
-        for (const core::CommandId w : cands.at(v).waits_on) {
-          if (index.count(w.value) == 0) {
-            strongconnect(w);
-            lowlink[v.value] = std::min(lowlink[v.value], lowlink[w.value]);
-          } else if (on_stack[w.value]) {
-            lowlink[v.value] = std::min(lowlink[v.value], index[w.value]);
-          }
-        }
-        if (lowlink[v.value] == index[v.value]) {
-          std::vector<core::CommandId> scc;
-          for (;;) {
-            const core::CommandId w = stack.back();
-            stack.pop_back();
-            on_stack[w.value] = false;
-            scc.push_back(w);
-            if (w == v) break;
-          }
-          sccs.push_back(std::move(scc));
-        }
-      };
-  for (const auto& [id, cand] : cands)
-    if (index.count(id.value) == 0) strongconnect(id);
-
-  // Assign SCC ids, then find sink SCCs (no out-edge to another SCC).
-  std::unordered_map<std::uint64_t, std::size_t> scc_of;
-  for (std::size_t s = 0; s < sccs.size(); ++s)
-    for (const core::CommandId id : sccs[s]) scc_of[id.value] = s;
-
-  bool delivered_any = false;
-  for (std::size_t s = 0; s < sccs.size(); ++s) {
-    if (sccs[s].size() < 2) continue;  // singletons resolve via normal path
-    bool sink = true;
-    for (const core::CommandId id : sccs[s]) {
-      for (const core::CommandId w : cands.at(id).waits_on) {
-        if (scc_of.at(w.value) != s) {
-          sink = false;
-          break;
-        }
-      }
-      if (!sink) break;
-    }
-    if (!sink) continue;
-    std::vector<core::CommandId> order = sccs[s];
-    std::sort(order.begin(), order.end());
-    for (const core::CommandId id : order)
-      deliver_command(cands.at(id).cmd, nullptr);
-    delivered_any = true;
+  // Two SCCs found in one check share no object (a shared object's frontier
+  // command would sit in both), so their relative order is free under
+  // Generalized Consensus; fix it by smallest id, members in id order.
+  const auto by_id = [](const core::CommandPtr& a, const core::CommandPtr& b) {
+    return a->id < b->id;
+  };
+  for (auto& scc : sccs) std::sort(scc.begin(), scc.end(), by_id);
+  std::sort(sccs.begin(), sccs.end(), [&](const auto& a, const auto& b) {
+    return by_id(a.front(), b.front());
+  });
+  for (const auto& scc : sccs) {
+    for (const core::CommandPtr& c : scc) deliver_command(c, nullptr);
+    counters_.crossing_delivered += scc.size();
+    m_inc(stats::Counter::kCrossingDelivered, scc.size());
   }
-  return delivered_any;
+  return true;
 }
 
 // ---------------------------------------------------------------------
@@ -1133,7 +1162,7 @@ void M2PaxosReplica::start_acquisition(PendingCommand& pc,
   // bump our own epoch and abort every in-flight fast-path accept on it.
   // (Repair rounds force the prepare: its vote collection and no-op hole
   // filling are the whole point there.)
-  std::vector<ObjectId> owned;
+  core::ObjectList owned;
   std::vector<Prepare::Entry> entries;
   for (ObjectId l : objects) {
     ObjectState& st = table_.obj(l);
@@ -1155,12 +1184,14 @@ void M2PaxosReplica::start_acquisition(PendingCommand& pc,
   const std::uint64_t req = next_req_++;
   PrepareRound round;
   round.cmd = pc.cmd;
-  round.entries = entries;
+  round.prepare = pooled<Prepare>(req, std::move(entries));
   round.owned_objects = std::move(owned);
   round.started_at = ctx_.now();
-  prepares_.emplace(req, std::move(round));
   pc.in_flight = true;
-  ctx_.broadcast(net::make_payload<Prepare>(req, std::move(entries)), true);
+  // The round keeps the sent message: its entries are built once.
+  const net::PayloadPtr msg = round.prepare;
+  prepares_.emplace(req, std::move(round));
+  ctx_.broadcast(msg, true);
 }
 
 void M2PaxosReplica::handle_prepare(NodeId from, const Prepare& msg) {
@@ -1257,7 +1288,7 @@ void M2PaxosReplica::finish_acquisition(PrepareRound round) {
   }
 
   SlotList slots;
-  for (const auto& e : round.entries) {
+  for (const auto& e : round.prepare->entries) {
     ObjectState& st = table_.obj(e.object);
     // The quorum promised e.epoch, but if this node has since observed a
     // higher epoch (a competing Prepare or an Accept processed while our

@@ -37,6 +37,11 @@ struct M2Counters {
   std::uint64_t gc_truncated_slots = 0; // slots dropped by frontier GC
   std::uint64_t batched_rounds = 0;     // accept rounds sent by the batcher
   std::uint64_t batched_commands = 0;   // commands those rounds carried
+
+  // Crossing resolution (DESIGN.md §5a #6).
+  std::uint64_t crossing_checks = 0;         // wait-cycle searches run
+  std::uint64_t crossing_heads_visited = 0;  // frontier commands searched
+  std::uint64_t crossing_delivered = 0;      // commands they delivered
 };
 
 /// M²Paxos replica: Generalized Consensus via per-object Multi-Paxos
@@ -150,7 +155,8 @@ class M2PaxosReplica final : public core::Replica {
   };
   struct PrepareRound {
     core::CommandPtr cmd;
-    std::vector<Prepare::Entry> entries;
+    /// The Prepare as sent; its entries are the objects being acquired.
+    std::shared_ptr<const Prepare> prepare;
     /// Max delivered frontier per object reported by the promise quorum;
     /// slots at or below it are decided and must not be written.
     std::unordered_map<ObjectId, Instance> floors;
@@ -158,7 +164,7 @@ class M2PaxosReplica final : public core::Replica {
     /// they are not re-prepared (bumping our own epoch would NACK all of
     /// our in-flight fast-path accepts) — the final Accept carries their
     /// slots at the existing owned epoch.
-    std::vector<ObjectId> owned_objects;
+    core::ObjectList owned_objects;
     core::SmallVec<NodeId, 8> ackers;  // deduplicated
     std::vector<AckPrepare::Vote> votes;
     /// Metrics: when the acquisition round was started (kAcquisitionNs).
@@ -222,14 +228,17 @@ class M2PaxosReplica final : public core::Replica {
   /// C-struct append, pending cleanup, deliver callback — no frontier
   /// advance (the batch delivery loop advances it once per slot).
   void deliver_batch_member(const core::CommandPtr& c);
-  /// Arms the one-shot crossing-resolution timer (rate limiting: the
-  /// wait-cycle search is O(waiting frontiers) and must not run per
-  /// message; running it late only delays delivery, never changes it).
+  /// Arms the one-shot crossing-resolution timer (rate limiting: one
+  /// search covers every frontier that moved since the last, so it need
+  /// not run per message; running it late only delays delivery, never
+  /// changes it).
   void schedule_crossing_check();
   /// Breaks cross-order waits (command c before d on one object, after it
   /// on another — possible when recovery forces a command on a subset of
   /// its objects) by delivering wait-for cycles in deterministic id order.
-  /// Returns true if any command was delivered.
+  /// Searches only from the frontiers queued in crossing_roots_, so its
+  /// cost follows what changed since the last check, not how many
+  /// frontiers wait. Returns true if any command was delivered.
   bool resolve_crossings();
   // --- Acquisition phase (Algorithm 4) ---------------------------------
   /// `force_prepare_all` makes even currently-owned objects go through the
@@ -276,9 +285,15 @@ class M2PaxosReplica final : public core::Replica {
   /// Objects whose frontier may have advanced, queued as stable table
   /// pointers so the delivery loop skips the hash lookup per entry.
   PooledDeque<ObjectState*> dirty_objects_;
-  /// Objects whose frontier slot is decided but whose command is waiting on
-  /// other objects — the candidates for crossing resolution.
+  /// Objects whose delivery frontier cannot move right now: a decided
+  /// command waiting on other objects, a decision gap, or an undecided
+  /// frontier such a command waits on. Drives anti-entropy and arms the
+  /// crossing check.
   PooledSet<ObjectId> stuck_objects_;
+  /// Objects whose frontier moved to a decided, waiting command since the
+  /// last crossing check (each at most once, see ObjectState::
+  /// crossing_root): the only roots a wait-cycle search needs.
+  std::vector<ObjectState*> crossing_roots_;
   /// Earliest time another delivery-repair acquisition may target each
   /// object (see coordinate(); repairs are deduplicated per object).
   PooledMap<ObjectId, sim::Time> repair_cooldown_;

@@ -120,6 +120,11 @@ struct ObjectState {
   /// the first accept/decide is observed.
   NodeId owner = kNoNode;
 
+  /// Queued as a root of the next crossing check: its frontier moved to a
+  /// decided command that waits on other objects (keeps each object on
+  /// M2PaxosReplica's root list at most once).
+  bool crossing_root = false;
+
   /// Epoch at which this node acquired ownership; only meaningful when
   /// owner == self. Ownership is valid only while promised == owned_epoch:
   /// a higher promise means another node ran a Prepare and this node must

@@ -27,6 +27,9 @@ const char* metric_name(Counter c) {
     case Counter::kSyncProbes: return "sync_probes";
     case Counter::kSyncSlotsLearned: return "sync_slots_learned";
     case Counter::kGcTruncatedSlots: return "gc_truncated_slots";
+    case Counter::kCrossingChecks: return "crossing_checks";
+    case Counter::kCrossingHeadsVisited: return "crossing_heads_visited";
+    case Counter::kCrossingDelivered: return "crossing_delivered";
     case Counter::kBatchedRounds: return "batched_rounds";
     case Counter::kBatchedCommands: return "batched_commands";
     case Counter::kBatchFlushFull: return "batch_flush_full";

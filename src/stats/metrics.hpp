@@ -40,6 +40,10 @@ enum class Counter : std::uint16_t {
   kSyncProbes,
   kSyncSlotsLearned,
   kGcTruncatedSlots,
+  // M²Paxos crossing resolution (DESIGN.md §5a #6).
+  kCrossingChecks,        // wait-cycle searches run
+  kCrossingHeadsVisited,  // frontier commands those searches visited
+  kCrossingDelivered,     // commands delivered by breaking a wait cycle
   // Command batching: rounds sent and what triggered each flush.
   kBatchedRounds,
   kBatchedCommands,

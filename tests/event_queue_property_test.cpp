@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
@@ -51,6 +52,13 @@ struct Param {
   std::uint64_t seed;
   int ops;
 };
+
+// Names the test cases (gtest_discover_tests prints the parameter into each
+// name). gtest's default byte dump would include the struct's padding,
+// which is uninitialized, so the names would differ between builds.
+void PrintTo(const Param& p, std::ostream* os) {
+  *os << "s" << p.seed << "_ops" << p.ops;
+}
 
 class EventQueueDifferential : public ::testing::TestWithParam<Param> {};
 

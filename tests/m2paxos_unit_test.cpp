@@ -4,7 +4,11 @@
 // Algorithms 1-4 (epochs, slots, ack/nack rules, promise contents).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "m2paxos/m2paxos.hpp"
@@ -280,6 +284,360 @@ TEST(M2PaxosUnit, ForwardedProposeGoesToOwner) {
   EXPECT_FALSE(s.broadcast);
   EXPECT_EQ(s.to, 1u);
   EXPECT_EQ(s.payload->kind(), net::kKindM2Paxos + 1);  // Propose
+}
+
+// --- Crossing resolution (DESIGN.md §5a #6) -------------------------------
+
+/// Runs the simulator past the crossing-check interval, so a check armed by
+/// the last delivery attempt fires exactly once.
+void fire_crossing_check(Fixture& f) {
+  f.ctx.sim.run_until(f.ctx.sim.now() +
+                      Fixture::make_cfg().crossing_check_interval + 1);
+}
+
+std::vector<core::CommandId> delivered_ids(const ScriptedContext& ctx,
+                                           std::size_t from = 0) {
+  std::vector<core::CommandId> out;
+  for (std::size_t i = from; i < ctx.delivered.size(); ++i)
+    out.push_back(ctx.delivered[i].id);
+  return out;
+}
+
+TEST(M2PaxosCrossing, TwoCommandCrossingDeliversInIdOrderWhenTheTimerFires) {
+  Fixture f;
+  const auto a = cmd(1, 1, {1, 2});
+  const auto b = cmd(1, 2, {1, 2});
+  // a before b on object 1, b before a on object 2: each waits on the other.
+  f.replica.on_message(
+      1, Decide({{1, 1, 0, a}, {1, 2, 0, b}, {2, 1, 0, b}, {2, 2, 0, a}}));
+  EXPECT_TRUE(f.ctx.delivered.empty());
+  fire_crossing_check(f);
+  EXPECT_EQ(delivered_ids(f.ctx), (std::vector<core::CommandId>{a.id, b.id}));
+  EXPECT_EQ(f.replica.counters().crossing_delivered, 2u);
+  EXPECT_TRUE(f.replica.stuck_objects().empty());
+  EXPECT_EQ(f.replica.table().find(1)->last_appended, 2u);
+  EXPECT_EQ(f.replica.table().find(2)->last_appended, 2u);
+}
+
+TEST(M2PaxosCrossing, UndecidedFrontierHoldsTheCrossingUntilItsDecide) {
+  Fixture f;
+  const auto a = cmd(1, 1, {1, 2, 3});
+  const auto b = cmd(1, 2, {1, 2});
+  const auto c = cmd(1, 3, {3});
+  // a and b cross on objects 1 and 2, but a also waits behind object 3's
+  // first slot, which is not decided here yet.
+  f.replica.on_message(
+      1, Decide({{1, 1, 0, a}, {1, 2, 0, b}, {2, 1, 0, b}, {2, 2, 0, a}}));
+  f.replica.on_message(1, Decide({{3, 2, 0, a}}));
+  fire_crossing_check(f);
+  EXPECT_TRUE(f.ctx.delivered.empty());
+  EXPECT_EQ(f.replica.counters().crossing_delivered, 0u);
+
+  f.replica.on_message(1, Decide({{3, 1, 0, c}}));
+  EXPECT_EQ(delivered_ids(f.ctx), (std::vector<core::CommandId>{c.id}));
+  fire_crossing_check(f);
+  EXPECT_EQ(delivered_ids(f.ctx),
+            (std::vector<core::CommandId>{c.id, a.id, b.id}));
+  EXPECT_EQ(f.replica.counters().crossing_delivered, 2u);
+}
+
+TEST(M2PaxosCrossing, IndependentCrossingsInOneCheckDeliverBySmallestId) {
+  Fixture f;
+  const auto a = cmd(1, 3, {1, 2});
+  const auto b = cmd(1, 4, {1, 2});
+  const auto c = cmd(1, 1, {3, 4});
+  const auto d = cmd(1, 2, {3, 4});
+  // The crossing with the larger ids is decided first.
+  f.replica.on_message(
+      1, Decide({{1, 1, 0, b}, {1, 2, 0, a}, {2, 1, 0, a}, {2, 2, 0, b}}));
+  f.replica.on_message(
+      1, Decide({{3, 1, 0, d}, {3, 2, 0, c}, {4, 1, 0, c}, {4, 2, 0, d}}));
+  fire_crossing_check(f);
+  EXPECT_EQ(delivered_ids(f.ctx),
+            (std::vector<core::CommandId>{c.id, d.id, a.id, b.id}));
+  EXPECT_EQ(f.replica.counters().crossing_checks, 2u)
+      << "one check delivers both crossings; a second finds nothing";
+}
+
+TEST(M2PaxosCrossing, CommandWaitingOnACycleIsDeliveredNormallyAfterIt) {
+  Fixture f;
+  const auto a = cmd(1, 1, {1, 2});
+  const auto b = cmd(1, 2, {1, 2});
+  const auto e = cmd(1, 3, {2, 5});
+  f.replica.on_message(1, Decide({{2, 3, 0, e}, {5, 1, 0, e}}));
+  f.replica.on_message(
+      1, Decide({{1, 1, 0, a}, {1, 2, 0, b}, {2, 1, 0, b}, {2, 2, 0, a}}));
+  EXPECT_TRUE(f.ctx.delivered.empty());
+  fire_crossing_check(f);
+  EXPECT_EQ(delivered_ids(f.ctx),
+            (std::vector<core::CommandId>{a.id, b.id, e.id}));
+  EXPECT_EQ(f.replica.counters().crossing_delivered, 2u)
+      << "e is not part of the cycle";
+  EXPECT_TRUE(f.replica.stuck_objects().empty());
+}
+
+/// The decided part of a replica's table above its delivery frontiers, with
+/// the delivered set: enough to replay the delivery rules by hand.
+struct TableModel {
+  std::map<ObjectId, Instance> frontier;  // last_appended
+  std::map<std::pair<ObjectId, Instance>, core::CommandPtr> decided;
+  std::set<core::CommandId> delivered;
+
+  static TableModel of(const Fixture& f, const std::vector<ObjectId>& objs) {
+    TableModel m;
+    for (const auto& c : f.ctx.delivered) m.delivered.insert(c.id);
+    for (const ObjectId l : objs) {
+      m.frontier[l] = 0;
+      const ObjectState* st = f.replica.table().find(l);
+      if (st == nullptr) continue;
+      m.frontier[l] = st->last_appended;
+      for (Instance in = st->last_appended + 1; in < st->log.end(); ++in) {
+        const Slot* s = st->log.find(in);
+        if (s != nullptr && s->decided) m.decided[{l, in}] = s->cmd;
+      }
+    }
+    return m;
+  }
+  const core::CommandPtr* head(ObjectId l) const {
+    auto it = decided.find({l, frontier.at(l) + 1});
+    return it == decided.end() ? nullptr : &it->second;
+  }
+  void deliver(const core::Command& c) {
+    delivered.insert(c.id);
+    for (const ObjectId l : c.objects) {
+      const core::CommandPtr* h = head(l);
+      if (h != nullptr && (*h)->id == c.id) ++frontier[l];
+    }
+  }
+  /// Normal delivery (Alg. 3 l.12) to its fixed point; returns what it
+  /// delivered.
+  std::set<core::CommandId> drain() {
+    std::set<core::CommandId> out;
+    for (bool moved = true; moved;) {
+      moved = false;
+      for (auto& [l, f] : frontier) {
+        const core::CommandPtr* h = head(l);
+        if (h == nullptr) continue;
+        const core::CommandPtr c = *h;
+        bool ready = delivered.count(c->id) == 0;
+        for (const ObjectId l2 : c->objects) {
+          const core::CommandPtr* h2 = head(l2);
+          ready = ready && h2 != nullptr && (*h2)->id == c->id;
+        }
+        if (delivered.count(c->id) > 0) {
+          ++f;  // duplicate decision of a delivered command: skipped
+        } else if (ready) {
+          deliver(*c);
+          out.insert(c->id);
+        } else {
+          continue;
+        }
+        moved = true;
+      }
+    }
+    return out;
+  }
+};
+
+/// The full-scan crossing rule the replica used before its search became
+/// incremental, kept as the reference: candidates are the commands at a
+/// seed object's decided frontier whose every object has a decided frontier
+/// slot; candidates waiting on a non-candidate are pruned to a fixed point;
+/// every sink SCC of >= 2 of the rest is delivered, members in id order.
+/// The SCCs are returned by smallest id.
+std::vector<std::vector<core::CommandPtr>> oracle_crossings(
+    const TableModel& m, const std::vector<ObjectId>& seeds) {
+  struct Candidate {
+    core::CommandPtr cmd;
+    std::vector<core::CommandId> waits_on;
+  };
+  std::map<core::CommandId, Candidate> cands;
+  for (const ObjectId l : seeds) {
+    const core::CommandPtr* h = m.head(l);
+    if (h == nullptr || m.delivered.count((*h)->id) > 0 ||
+        cands.count((*h)->id) > 0)
+      continue;
+    Candidate cand{*h, {}};
+    bool complete = true;
+    for (const ObjectId l2 : (*h)->objects) {
+      const core::CommandPtr* h2 = m.head(l2);
+      if (h2 == nullptr) {
+        complete = false;
+        break;
+      }
+      if ((*h2)->id != (*h)->id) cand.waits_on.push_back((*h2)->id);
+    }
+    if (complete) cands.emplace((*h)->id, std::move(cand));
+  }
+  auto candidate = [&](core::CommandId id) { return cands.count(id) > 0; };
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (auto it = cands.begin(); it != cands.end();) {
+      const auto& w = it->second.waits_on;
+      if (!std::all_of(w.begin(), w.end(), candidate)) {
+        it = cands.erase(it);
+        changed = true;
+      } else {
+        ++it;
+      }
+    }
+  }
+  std::map<core::CommandId, std::uint32_t> index, low;
+  std::set<core::CommandId> on_stack;
+  std::vector<core::CommandId> stack;
+  std::vector<std::vector<core::CommandId>> sccs;
+  std::function<void(core::CommandId)> connect = [&](core::CommandId v) {
+    index[v] = low[v] = static_cast<std::uint32_t>(index.size());
+    stack.push_back(v);
+    on_stack.insert(v);
+    for (const core::CommandId w : cands.at(v).waits_on) {
+      if (index.count(w) == 0) {
+        connect(w);
+        low[v] = std::min(low[v], low[w]);
+      } else if (on_stack.count(w) > 0) {
+        low[v] = std::min(low[v], index[w]);
+      }
+    }
+    if (low[v] != index[v]) return;
+    std::vector<core::CommandId> scc;
+    core::CommandId w;
+    do {
+      w = stack.back();
+      stack.pop_back();
+      on_stack.erase(w);
+      scc.push_back(w);
+    } while (w != v);
+    sccs.push_back(std::move(scc));
+  };
+  for (const auto& [id, cand] : cands)
+    if (index.count(id) == 0) connect(id);
+
+  std::map<core::CommandId, std::size_t> scc_of;
+  for (std::size_t i = 0; i < sccs.size(); ++i)
+    for (const core::CommandId id : sccs[i]) scc_of[id] = i;
+  std::vector<std::vector<core::CommandPtr>> out;
+  for (std::size_t i = 0; i < sccs.size(); ++i) {
+    if (sccs[i].size() < 2) continue;
+    bool sink = true;
+    for (const core::CommandId id : sccs[i])
+      for (const core::CommandId w : cands.at(id).waits_on)
+        sink = sink && scc_of.at(w) == i;
+    if (!sink) continue;
+    std::sort(sccs[i].begin(), sccs[i].end());
+    std::vector<core::CommandPtr> members;
+    for (const core::CommandId id : sccs[i])
+      members.push_back(cands.at(id).cmd);
+    out.push_back(std::move(members));
+  }
+  std::sort(out.begin(), out.end(), [](const auto& x, const auto& y) {
+    return x.front()->id < y.front()->id;
+  });
+  return out;
+}
+
+/// Fires one crossing check and asserts it delivers exactly what the
+/// full-scan rule predicts from the table just before it: every round of
+/// cycle breaking in order (SCCs by smallest id, members by id), and after
+/// each round the set that normal delivery then unlocks.
+void check_against_oracle(Fixture& f, const std::vector<ObjectId>& objs) {
+  TableModel m = TableModel::of(f, objs);
+  std::vector<ObjectId> seeds = f.replica.stuck_objects();
+  std::sort(seeds.begin(), seeds.end());
+  struct Round {
+    std::vector<core::CommandId> crossed;  // cycle breaking, in order
+    std::set<core::CommandId> unlocked;    // normal delivery after it
+  };
+  std::vector<Round> rounds;
+  std::uint64_t expect_crossed = 0;
+  for (;;) {
+    const auto sccs = oracle_crossings(m, seeds);
+    if (sccs.empty()) break;
+    std::vector<core::CommandId> crossed;
+    for (const auto& scc : sccs) {
+      for (const core::CommandPtr& c : scc) {
+        m.deliver(*c);
+        crossed.push_back(c->id);
+      }
+    }
+    expect_crossed += crossed.size();
+    rounds.push_back(Round{std::move(crossed), m.drain()});
+    seeds = objs;  // later rounds: every waiting frontier is stuck again
+  }
+
+  const std::size_t before = f.ctx.delivered.size();
+  const std::uint64_t crossed_before = f.replica.counters().crossing_delivered;
+  fire_crossing_check(f);
+  const std::vector<core::CommandId> got = delivered_ids(f.ctx, before);
+  std::size_t pos = 0;
+  for (const auto& [crossed, unlocked] : rounds) {
+    ASSERT_LE(pos + crossed.size() + unlocked.size(), got.size());
+    EXPECT_EQ(std::vector<core::CommandId>(got.begin() + pos,
+                                           got.begin() + pos + crossed.size()),
+              crossed);
+    pos += crossed.size();
+    EXPECT_EQ(std::set<core::CommandId>(got.begin() + pos,
+                                        got.begin() + pos + unlocked.size()),
+              unlocked);
+    pos += unlocked.size();
+  }
+  EXPECT_EQ(pos, got.size()) << "delivered more than the oracle";
+  EXPECT_EQ(f.replica.counters().crossing_delivered - crossed_before,
+            expect_crossed);
+}
+
+TEST(M2PaxosCrossing, IncrementalSearchMatchesTheFullScanOnRandomTables) {
+  std::uint64_t cycles_broken = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(seed);
+    sim::Rng rng(seed);
+    Fixture f;
+    const auto n_objects = 2 + rng.uniform(6);
+    std::vector<ObjectId> objs;
+    for (ObjectId l = 1; l <= n_objects; ++l) objs.push_back(l);
+    // Random commands over 1-3 objects, decided on each object in an
+    // independently shuffled order: chains, and several cycles at once.
+    std::map<ObjectId, std::vector<core::CommandPtr>> per_object;
+    const auto n_cmds = 2 + rng.uniform(13);
+    for (std::uint64_t i = 1; i <= n_cmds; ++i) {
+      std::vector<ObjectId> pick = objs;
+      for (std::size_t j = pick.size(); j > 1; --j)
+        std::swap(pick[j - 1], pick[rng.uniform(j)]);
+      pick.resize(1 + rng.uniform(std::min<std::uint64_t>(3, n_objects)));
+      std::sort(pick.begin(), pick.end());
+      core::ObjectList ls;
+      for (const ObjectId l : pick) ls.push_back(l);
+      const auto c = std::make_shared<const Command>(
+          cmd(static_cast<NodeId>(1 + rng.uniform(2)), i, ls));
+      for (const ObjectId l : pick) per_object[l].push_back(c);
+    }
+    std::vector<SlotValue> decisions;
+    for (auto& [l, log] : per_object) {
+      for (std::size_t j = log.size(); j > 1; --j)
+        std::swap(log[j - 1], log[rng.uniform(j)]);
+      for (std::size_t j = 0; j < log.size(); ++j)
+        decisions.emplace_back(l, j + 1, 0, log[j]);
+    }
+    // Decisions arrive in random order and chunks, so checks also run with
+    // holes below decided slots.
+    for (std::size_t j = decisions.size(); j > 1; --j)
+      std::swap(decisions[j - 1], decisions[rng.uniform(j)]);
+    for (std::size_t j = 0; j < decisions.size();) {
+      SlotList chunk;
+      for (auto k = 1 + rng.uniform(4); k > 0 && j < decisions.size(); --k)
+        chunk.push_back(decisions[j++]);
+      f.replica.on_message(1, Decide(std::move(chunk)));
+      if (rng.chance(0.5)) check_against_oracle(f, objs);
+    }
+    check_against_oracle(f, objs);
+    if (::testing::Test::HasFailure()) return;
+
+    std::set<core::CommandId> delivered;
+    for (const auto& c : f.ctx.delivered)
+      EXPECT_TRUE(delivered.insert(c.id).second) << "delivered twice";
+    EXPECT_EQ(delivered.size(), n_cmds) << "every command delivers";
+    cycles_broken += f.replica.counters().crossing_delivered;
+  }
+  EXPECT_GT(cycles_broken, 300u) << "the tables must exercise the search";
 }
 
 }  // namespace
