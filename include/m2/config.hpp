@@ -16,21 +16,11 @@
 
 namespace m2 {
 
-/// Execution backend for a cluster built by m2::ClusterBuilder.
-enum class Backend {
-  /// Deterministic discrete-event simulation (virtual time, modeled
-  /// network/CPU). Single-threaded, replayable: same Config + seed =
-  /// bit-identical run. The backend the paper-reproduction benchmarks use.
-  kSim,
-  /// Threaded real-clock runtime, all nodes in this process: one OS thread
-  /// per node, messages fully serialized through the in-process loopback
-  /// transport (the exact wire codec TCP uses, minus the socket).
-  kLoopback,
-  /// Threaded real-clock runtime over TCP: this process serves
-  /// Config::local_nodes of the cluster; the rest are remote m2node
-  /// processes listed in Config::addresses.
-  kTcp,
-};
+/// Execution backend for a cluster built by m2::ClusterBuilder (kSim,
+/// kLoopback or kTcp; documented at core::Backend). Under kTcp this process
+/// serves Config::local_nodes and the rest are remote m2node processes
+/// listed in Config::addresses.
+using Backend = core::Backend;
 
 /// Network address of one cluster node (Backend::kTcp).
 struct NodeAddress {

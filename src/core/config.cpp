@@ -16,4 +16,16 @@ std::string to_string(Protocol p) {
   return "?";
 }
 
+std::string to_string(Backend b) {
+  switch (b) {
+    case Backend::kSim:
+      return "sim";
+    case Backend::kLoopback:
+      return "loopback";
+    case Backend::kTcp:
+      return "tcp";
+  }
+  return "?";
+}
+
 }  // namespace m2::core

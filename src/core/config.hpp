@@ -176,4 +176,23 @@ enum class Protocol { kMultiPaxos, kGenPaxos, kEPaxos, kM2Paxos };
 
 std::string to_string(Protocol p);
 
+/// Execution backend a cluster runs on (m2::ClusterBuilder, the fault-case
+/// runner).
+enum class Backend {
+  /// Deterministic discrete-event simulation (virtual time, modeled
+  /// network/CPU). Single-threaded, replayable: same Config + seed =
+  /// bit-identical run. The backend the paper-reproduction benchmarks use.
+  kSim,
+  /// Threaded real-clock runtime, all nodes in this process: one OS thread
+  /// per node, messages fully serialized through the in-process loopback
+  /// transport (the exact wire codec TCP uses, minus the socket).
+  kLoopback,
+  /// Threaded real-clock runtime over TCP: each process serves some nodes
+  /// of the cluster and reaches the rest over sockets.
+  kTcp,
+};
+
+/// Lower-case name: "sim", "loopback" or "tcp".
+std::string to_string(Backend b);
+
 }  // namespace m2::core

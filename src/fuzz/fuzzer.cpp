@@ -1,10 +1,10 @@
 #include "fuzz/fuzzer.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <unordered_set>
 
 #include "harness/cluster.hpp"
-#include "workload/synthetic.hpp"
 
 namespace m2::fuzz {
 
@@ -55,24 +55,45 @@ void apply(harness::Cluster& cluster, const FaultAction& action) {
     case FaultKind::kThrottleClear:
       // Runtime-only kinds: the simulator has no connections to reset or
       // frames to corrupt. Generated only with runtime_faults set, which
-      // the simulator never requests; ignore defensively.
+      // only the runtime backends request; ignore defensively.
       break;
   }
 }
 
-/// A schedule that can silently disappear individual messages (drop a
-/// decide broadcast, isolate a node while a decision happens) leaves
-/// correct-but-unlucky nodes with no way to notice the gap unless later
-/// traffic exposes it. The strong liveness checks only hold under
-/// crash/latency/duplication faults, where every broadcast that is sent
-/// reaches every up node; with loss or connectivity faults we fall back
-/// to delivery-at-reporter (reporters retry until they deliver locally).
+/// Objects in the synthetic workload, split evenly across the nodes'
+/// partitions (at least one per node), and simulated clients per node.
+constexpr std::uint64_t kObjects = 40;
+constexpr int kClientsPerNode = 4;
+
+}  // namespace
+
+std::vector<FaultAction> schedule_for(const Case& c) {
+  if (c.schedule) return *c.schedule;
+  ScheduleConfig cfg;
+  cfg.n_nodes = c.n_nodes;
+  cfg.horizon = c.horizon;
+  cfg.intensity = c.intensity;
+  cfg.runtime_faults = c.backend != core::Backend::kSim;
+  return make_schedule(c.seed, cfg);
+}
+
+std::vector<FaultAction> keep_episodes(std::vector<FaultAction> schedule,
+                                       const std::vector<int>& episodes) {
+  const std::unordered_set<int> keep(episodes.begin(), episodes.end());
+  std::erase_if(schedule, [&](const FaultAction& action) {
+    return keep.count(action.episode) == 0;
+  });
+  return schedule;
+}
+
 bool schedule_is_lossy(const std::vector<FaultAction>& schedule) {
   for (const auto& action : schedule) {
     switch (action.kind) {
       case FaultKind::kLinkDown:
       case FaultKind::kPartition:
       case FaultKind::kLossSpike:
+      case FaultKind::kReset:
+      case FaultKind::kCorrupt:
         return true;
       default:
         break;
@@ -81,56 +102,76 @@ bool schedule_is_lossy(const std::vector<FaultAction>& schedule) {
   return false;
 }
 
-std::vector<FaultAction> schedule_for(const FuzzCase& fuzz_case) {
-  if (!fuzz_case.schedule_override.empty()) return fuzz_case.schedule_override;
-  ScheduleConfig cfg;
-  cfg.n_nodes = fuzz_case.n_nodes;
-  cfg.horizon = fuzz_case.horizon;
-  cfg.intensity = fuzz_case.intensity;
-  auto schedule = make_schedule(fuzz_case.seed, cfg);
-  if (!fuzz_case.keep_episodes.empty()) {
-    const std::unordered_set<int> keep(fuzz_case.keep_episodes.begin(),
-                                       fuzz_case.keep_episodes.end());
-    std::erase_if(schedule, [&](const FaultAction& action) {
-      return keep.count(action.episode) == 0;
-    });
-  }
-  return schedule;
-}
-
-}  // namespace
-
-FuzzResult run_case(const FuzzCase& fuzz_case) {
+wl::SyntheticConfig workload_for(const Case& c) {
   wl::SyntheticConfig wcfg;
-  wcfg.n_nodes = fuzz_case.n_nodes;
+  wcfg.n_nodes = c.n_nodes;
   wcfg.objects_per_node = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(fuzz_case.n_objects) /
-             static_cast<std::uint64_t>(fuzz_case.n_nodes));
+      1, kObjects / static_cast<std::uint64_t>(c.n_nodes));
   wcfg.locality = 0.7;          // remote proposals force forwards/acquisitions
   wcfg.complex_fraction = 0.1;  // multi-object commands cross partitions
   wcfg.payload_bytes = 16;
-  wcfg.seed = fuzz_case.seed;
-  wl::SyntheticWorkload workload(wcfg);
+  wcfg.seed = c.seed;
+  return wcfg;
+}
+
+core::ClusterConfig cluster_for(const Case& c) {
+  core::ClusterConfig cluster;
+  cluster.n_nodes = c.n_nodes;
+  cluster.cores_per_node = 4;
+  cluster.forward_timeout = 20 * core::kMillisecond;
+  cluster.test_unsafe_epochs = c.inject_bug;
+  cluster.batching.enabled = c.batching;
+  return cluster;
+}
+
+Result finish(SafetyAuditor& auditor, const Case& c,
+              std::vector<FaultAction> schedule, bool observed_loss) {
+  Result result;
+  result.lossy = observed_loss || schedule_is_lossy(schedule);
+  LivenessChecks checks = default_checks(c.protocol);
+  if (result.lossy) {
+    checks.eventual_delivery = false;
+    checks.convergence = false;
+    // Only M²Paxos repairs local delivery under message loss (per-slot
+    // watchdog retransmissions plus anti-entropy once a frontier sticks);
+    // the single-log protocols stall forever on a lost commit/sequence of
+    // a foreign slot ahead of their own. Reporters retry until they deliver
+    // locally, so M²Paxos keeps delivery-at-reporter.
+    if (c.protocol != core::Protocol::kM2Paxos)
+      checks.delivery_at_reporter = false;
+  }
+  auditor.finalize(checks);
+
+  result.ok = auditor.ok();
+  result.violations = auditor.violations();
+  result.schedule = std::move(schedule);
+  result.proposals = auditor.proposals_seen();
+  result.committed = auditor.commits_seen();
+  result.decisions = auditor.decisions_seen();
+  result.deliveries = auditor.deliveries_seen();
+  result.nodes_crashed = static_cast<int>(auditor.ever_crashed().size());
+  return result;
+}
+
+Result run_case(const Case& c) {
+  assert(c.backend == core::Backend::kSim);
+  wl::SyntheticWorkload workload(workload_for(c));
 
   harness::ExperimentConfig cfg;
-  cfg.protocol = fuzz_case.protocol;
-  cfg.cluster.n_nodes = fuzz_case.n_nodes;
-  cfg.cluster.cores_per_node = 4;
-  cfg.cluster.forward_timeout = 20 * sim::kMillisecond;
-  cfg.cluster.test_unsafe_epochs = fuzz_case.inject_bug;
-  cfg.cluster.batching.enabled = fuzz_case.batching;
+  cfg.protocol = c.protocol;
+  cfg.cluster = cluster_for(c);
   cfg.network.batching = false;
-  cfg.load.clients_per_node = fuzz_case.clients_per_node;
+  cfg.load.clients_per_node = kClientsPerNode;
   cfg.load.think_time = 2 * sim::kMillisecond;
   cfg.load.max_inflight_per_node = 8;
-  cfg.seed = fuzz_case.seed;
+  cfg.seed = c.seed;
   cfg.audit = false;  // the auditor rebuilds C-structs from deliver events
   harness::Cluster cluster(cfg, workload);
 
-  SafetyAuditor auditor(fuzz_case.protocol, fuzz_case.n_nodes);
+  SafetyAuditor auditor(c.protocol, c.n_nodes);
   cluster.set_observer(&auditor);
 
-  const std::vector<FaultAction> schedule = schedule_for(fuzz_case);
+  std::vector<FaultAction> schedule = schedule_for(c);
 
   cluster.start_clients();
   sim::Time now = 0;
@@ -141,7 +182,7 @@ FuzzResult run_case(const FuzzCase& fuzz_case) {
     }
     apply(cluster, action);
   }
-  if (fuzz_case.horizon > now) cluster.run_for(fuzz_case.horizon - now);
+  if (c.horizon > now) cluster.run_for(c.horizon - now);
   cluster.stop_clients();
 
   // Safety net: the generator pairs every fault with its undo inside the
@@ -151,72 +192,40 @@ FuzzResult run_case(const FuzzCase& fuzz_case) {
   cluster.network().set_loss(0.0);
   cluster.network().set_duplication(0.0);
   cluster.network().set_latency_scale(1.0);
-  for (NodeId n = 0; n < static_cast<NodeId>(fuzz_case.n_nodes); ++n)
+  for (NodeId n = 0; n < static_cast<NodeId>(c.n_nodes); ++n)
     if (cluster.network().is_crashed(n)) cluster.recover(n);
-  cluster.run_for(fuzz_case.drain);
+  cluster.run_for(c.drain);
 
-  LivenessChecks checks = default_checks(fuzz_case.protocol);
-  if (schedule_is_lossy(schedule)) {
-    checks.eventual_delivery = false;
-    checks.convergence = false;
-    // Only M²Paxos repairs local delivery under message loss (per-slot
-    // watchdog retransmissions plus anti-entropy once a frontier sticks);
-    // the single-log protocols stall forever on a lost commit/sequence of
-    // a foreign slot ahead of their own.
-    if (fuzz_case.protocol != core::Protocol::kM2Paxos)
-      checks.delivery_at_reporter = false;
-  }
-  auditor.finalize(checks);
-
+  Result result = finish(auditor, c, std::move(schedule), false);
   cluster.set_observer(nullptr);
-
-  FuzzResult result;
-  result.ok = auditor.ok();
-  result.violations = auditor.violations();
-  result.schedule = schedule;
-  result.committed = auditor.commits_seen();
-  result.proposals = auditor.proposals_seen();
-  result.decisions = auditor.decisions_seen();
-  result.deliveries = auditor.deliveries_seen();
-  result.nodes_crashed = static_cast<int>(auditor.ever_crashed().size());
   return result;
 }
 
-std::vector<int> shrink_schedule(const FuzzCase& fuzz_case,
-                                 FuzzResult& out_result, int max_runs) {
-  const std::vector<FaultAction> full = schedule_for(fuzz_case);
+std::vector<int> shrink_schedule(const Case& c, Result& out, const RunFn& run,
+                                 int max_runs) {
+  const std::vector<FaultAction> full = schedule_for(c);
   std::vector<int> episodes;
-  for (const auto& action : full)
-    if (episodes.empty() || episodes.back() != action.episode)
-      episodes.push_back(action.episode);
+  for (const auto& action : full) episodes.push_back(action.episode);
   std::sort(episodes.begin(), episodes.end());
   episodes.erase(std::unique(episodes.begin(), episodes.end()),
                  episodes.end());
 
   int runs = 0;
-  auto replay = [&](const std::vector<int>& keep, FuzzResult& result) {
+  // Replays filter the full schedule, so every action keeps its time.
+  auto replay = [&](const std::vector<int>& keep, Result& result) {
     ++runs;
-    FuzzCase sub = fuzz_case;
-    sub.keep_episodes.clear();
-    // Replays filter the full schedule so action timing is preserved. An
-    // empty subset cannot ride schedule_override (empty means "generate"
-    // there), so it filters the generated schedule down to nothing instead.
-    const std::unordered_set<int> set(keep.begin(), keep.end());
-    sub.schedule_override = full;
-    std::erase_if(sub.schedule_override, [&](const FaultAction& action) {
-      return set.count(action.episode) == 0;
-    });
-    if (sub.schedule_override.empty()) sub.keep_episodes.push_back(-2);
-    result = run_case(sub);
+    Case sub = c;
+    sub.schedule = keep_episodes(full, keep);
+    result = run(sub);
     return !result.ok;
   };
 
   // The failure must reproduce at all; and if it reproduces with no faults
   // the schedule is irrelevant — report the empty set immediately.
-  if (!replay(episodes, out_result)) return episodes;
-  FuzzResult candidate;
+  if (!replay(episodes, out)) return episodes;
+  Result candidate;
   if (replay({}, candidate)) {
-    out_result = candidate;
+    out = candidate;
     return {};
   }
 
@@ -239,7 +248,7 @@ std::vector<int> shrink_schedule(const FuzzCase& fuzz_case,
       if (complement.empty()) continue;
       if (replay(complement, candidate)) {
         episodes = std::move(complement);
-        out_result = candidate;
+        out = candidate;
         granularity = std::max<std::size_t>(2, granularity - 1);
         reduced = true;
         break;

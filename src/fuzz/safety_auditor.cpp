@@ -33,18 +33,18 @@ SafetyAuditor::SafetyAuditor(core::Protocol protocol, int n_nodes)
       n_nodes_(n_nodes),
       delivered_(static_cast<std::size_t>(n_nodes)) {}
 
-void SafetyAuditor::violation(sim::Time at, std::string what) {
+void SafetyAuditor::violation(core::Time at, std::string what) {
   std::ostringstream os;
-  os << "t=" << at / sim::kMicrosecond << "us: " << what;
+  os << "t=" << at / core::kMicrosecond << "us: " << what;
   violations_.push_back(os.str());
 }
 
-void SafetyAuditor::on_propose(sim::Time /*at*/, NodeId /*n*/,
+void SafetyAuditor::on_propose(core::Time /*at*/, NodeId /*n*/,
                                const core::Command& c) {
   proposed_.insert(c.id);
 }
 
-void SafetyAuditor::on_decided(sim::Time at, NodeId n, core::ObjectId l,
+void SafetyAuditor::on_decided(core::Time at, NodeId n, core::ObjectId l,
                                core::Instance in, const core::Command& c) {
   ++decisions_seen_;
   const auto key = std::make_pair(l, in);
@@ -60,7 +60,7 @@ void SafetyAuditor::on_decided(sim::Time at, NodeId n, core::ObjectId l,
   }
 }
 
-void SafetyAuditor::on_ownership(sim::Time at, NodeId n, core::ObjectId l,
+void SafetyAuditor::on_ownership(core::Time at, NodeId n, core::ObjectId l,
                                  core::Epoch e, NodeId owner, bool acquired) {
   const auto [it, inserted] = epochs_.try_emplace(std::make_pair(n, l), e);
   if (!inserted) {
@@ -85,7 +85,8 @@ void SafetyAuditor::on_ownership(sim::Time at, NodeId n, core::ObjectId l,
   }
 }
 
-void SafetyAuditor::on_deliver(sim::Time at, NodeId n, const core::Command& c) {
+void SafetyAuditor::on_deliver(core::Time at, NodeId n,
+                               const core::Command& c) {
   ++deliveries_seen_;
   if (!c.noop && proposed_.count(c.id) == 0) {
     std::ostringstream os;
@@ -101,16 +102,16 @@ void SafetyAuditor::on_deliver(sim::Time at, NodeId n, const core::Command& c) {
   }
 }
 
-void SafetyAuditor::on_committed(sim::Time /*at*/, NodeId n,
+void SafetyAuditor::on_committed(core::Time /*at*/, NodeId n,
                                  const core::Command& c) {
   if (!c.noop) committed_.try_emplace(c.id, n);
 }
 
-void SafetyAuditor::on_crash(sim::Time /*at*/, NodeId n) {
+void SafetyAuditor::on_crash(core::Time /*at*/, NodeId n) {
   ever_crashed_.insert(n);
 }
 
-void SafetyAuditor::on_recover(sim::Time /*at*/, NodeId /*n*/) {}
+void SafetyAuditor::on_recover(core::Time /*at*/, NodeId /*n*/) {}
 
 bool SafetyAuditor::finalize(const LivenessChecks& checks) {
   if (finalized_) return ok();

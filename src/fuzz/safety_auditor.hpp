@@ -10,7 +10,8 @@
 #include "core/command.hpp"
 #include "core/config.hpp"
 #include "core/cstruct.hpp"
-#include "harness/cluster.hpp"
+#include "core/observer.hpp"
+#include "core/time.hpp"
 
 namespace m2::fuzz {
 
@@ -35,7 +36,7 @@ struct LivenessChecks {
 LivenessChecks default_checks(core::Protocol protocol);
 
 /// Trace-driven checker of the Generalized Consensus safety invariants
-/// (PAPER.md §III, §V), fed by harness::ClusterObserver callbacks during a
+/// (PAPER.md §III, §V), fed by core::ClusterObserver callbacks during a
 /// run and finalized against end-of-run replica state.
 ///
 /// Online checks (violations recorded the moment they happen):
@@ -58,20 +59,20 @@ LivenessChecks default_checks(core::Protocol protocol);
 ///  - eventual delivery: every command acknowledged as committed is
 ///    delivered at every never-crashed node once all faults healed;
 ///  - convergence: never-crashed nodes deliver identical command sets.
-class SafetyAuditor final : public harness::ClusterObserver {
+class SafetyAuditor final : public core::ClusterObserver {
  public:
   explicit SafetyAuditor(core::Protocol protocol, int n_nodes);
 
   // --- ClusterObserver ------------------------------------------------
-  void on_propose(sim::Time at, NodeId n, const core::Command& c) override;
-  void on_decided(sim::Time at, NodeId n, core::ObjectId l, core::Instance in,
+  void on_propose(core::Time at, NodeId n, const core::Command& c) override;
+  void on_decided(core::Time at, NodeId n, core::ObjectId l, core::Instance in,
                   const core::Command& c) override;
-  void on_ownership(sim::Time at, NodeId n, core::ObjectId l, core::Epoch e,
+  void on_ownership(core::Time at, NodeId n, core::ObjectId l, core::Epoch e,
                     NodeId owner, bool acquired) override;
-  void on_deliver(sim::Time at, NodeId n, const core::Command& c) override;
-  void on_committed(sim::Time at, NodeId n, const core::Command& c) override;
-  void on_crash(sim::Time at, NodeId n) override;
-  void on_recover(sim::Time at, NodeId n) override;
+  void on_deliver(core::Time at, NodeId n, const core::Command& c) override;
+  void on_committed(core::Time at, NodeId n, const core::Command& c) override;
+  void on_crash(core::Time at, NodeId n) override;
+  void on_recover(core::Time at, NodeId n) override;
 
   /// Runs the end-of-run checks. Call exactly once, after the cluster has
   /// healed and drained. Returns true iff no violation was found (online
@@ -90,7 +91,7 @@ class SafetyAuditor final : public harness::ClusterObserver {
   std::uint64_t commits_seen() const { return committed_.size(); }
 
  private:
-  void violation(sim::Time at, std::string what);
+  void violation(core::Time at, std::string what);
 
   core::Protocol protocol_;
   int n_nodes_;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/cstruct.hpp"
+#include "core/observer.hpp"
 #include "core/pool.hpp"
 #include "core/replica.hpp"
 #include "net/network.hpp"
@@ -65,22 +66,9 @@ struct ExperimentResult {
 
 class ClientSet;
 
-/// Observer of cluster-level protocol events, invoked synchronously from
-/// the simulation. The fuzzing safety auditor implements this; all methods
-/// default to no-ops so tests can override selectively.
-class ClusterObserver {
- public:
-  virtual ~ClusterObserver() = default;
-  virtual void on_propose(sim::Time, NodeId, const core::Command&) {}
-  virtual void on_decided(sim::Time, NodeId, core::ObjectId, core::Instance,
-                          const core::Command&) {}
-  virtual void on_ownership(sim::Time, NodeId, core::ObjectId, core::Epoch,
-                            NodeId /*owner*/, bool /*acquired*/) {}
-  virtual void on_deliver(sim::Time, NodeId, const core::Command&) {}
-  virtual void on_committed(sim::Time, NodeId, const core::Command&) {}
-  virtual void on_crash(sim::Time, NodeId) {}
-  virtual void on_recover(sim::Time, NodeId) {}
-};
+/// Observer of the cluster's protocol events (see core/observer.hpp),
+/// invoked synchronously from the simulation.
+using core::ClusterObserver;
 
 /// Simulated cluster: N protocol replicas over the network substrate, one
 /// k-core CPU model per node, plus open-loop clients. Also the Context

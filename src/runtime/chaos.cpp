@@ -5,11 +5,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 
 #include "fuzz/safety_auditor.hpp"
 #include "runtime/chaos_transport.hpp"
@@ -37,97 +37,53 @@ void sleep_ns(core::Time ns) {
 /// The SafetyAuditor is not thread-safe; runtime callbacks arrive from
 /// every node thread plus the driver. One lock around the whole auditor is
 /// plenty at soak load (a few thousand events per second).
-class LockedAuditor final : public harness::ClusterObserver {
+class LockedAuditor final : public core::ClusterObserver {
  public:
   LockedAuditor(core::Protocol protocol, int n_nodes)
       : auditor_(protocol, n_nodes) {}
 
-  void on_propose(sim::Time at, NodeId n, const core::Command& c) override {
+  void on_propose(core::Time at, NodeId n, const core::Command& c) override {
     std::lock_guard<std::mutex> lock(mu_);
     auditor_.on_propose(at, n, c);
   }
-  void on_decided(sim::Time at, NodeId n, core::ObjectId l, core::Instance in,
+  void on_decided(core::Time at, NodeId n, core::ObjectId l, core::Instance in,
                   const core::Command& c) override {
     std::lock_guard<std::mutex> lock(mu_);
     auditor_.on_decided(at, n, l, in, c);
   }
-  void on_ownership(sim::Time at, NodeId n, core::ObjectId l, core::Epoch e,
+  void on_ownership(core::Time at, NodeId n, core::ObjectId l, core::Epoch e,
                     NodeId owner, bool acquired) override {
     std::lock_guard<std::mutex> lock(mu_);
     auditor_.on_ownership(at, n, l, e, owner, acquired);
   }
-  void on_deliver(sim::Time at, NodeId n, const core::Command& c) override {
+  void on_deliver(core::Time at, NodeId n, const core::Command& c) override {
     std::lock_guard<std::mutex> lock(mu_);
     auditor_.on_deliver(at, n, c);
   }
-  void on_committed(sim::Time at, NodeId n, const core::Command& c) override {
+  void on_committed(core::Time at, NodeId n, const core::Command& c) override {
     std::lock_guard<std::mutex> lock(mu_);
     auditor_.on_committed(at, n, c);
   }
-  void on_crash(sim::Time at, NodeId n) override {
+  void on_crash(core::Time at, NodeId n) override {
     std::lock_guard<std::mutex> lock(mu_);
     auditor_.on_crash(at, n);
   }
-  void on_recover(sim::Time at, NodeId n) override {
+  void on_recover(core::Time at, NodeId n) override {
     std::lock_guard<std::mutex> lock(mu_);
     auditor_.on_recover(at, n);
   }
 
-  /// Post-run (node threads joined): no locking needed by then, but keep
-  /// the discipline anyway.
-  bool finalize(const fuzz::LivenessChecks& checks) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return auditor_.finalize(checks);
-  }
-  const fuzz::SafetyAuditor& auditor() const { return auditor_; }
+  /// Post-run only: node threads are joined, nothing calls in any more.
+  fuzz::SafetyAuditor& auditor() { return auditor_; }
 
  private:
   std::mutex mu_;
   fuzz::SafetyAuditor auditor_;
 };
 
-std::vector<FaultAction> schedule_for(const ChaosCase& chaos_case) {
-  if (!chaos_case.schedule_override.empty())
-    return chaos_case.schedule_override;
-  fuzz::ScheduleConfig cfg;
-  cfg.n_nodes = chaos_case.n_nodes;
-  cfg.horizon = chaos_case.horizon;
-  cfg.intensity = chaos_case.intensity;
-  cfg.runtime_faults = true;
-  auto schedule = fuzz::make_schedule(chaos_case.seed, cfg);
-  if (!chaos_case.keep_episodes.empty()) {
-    const std::unordered_set<int> keep(chaos_case.keep_episodes.begin(),
-                                       chaos_case.keep_episodes.end());
-    std::erase_if(schedule, [&](const FaultAction& action) {
-      return keep.count(action.episode) == 0;
-    });
-  }
-  return schedule;
-}
-
-/// Same reasoning as the fuzzer's schedule_is_lossy, extended with the
-/// runtime-only kinds that destroy in-flight messages: a reset kills
-/// whatever sat in the connection, a corruption makes the receiver drop
-/// the stream.
-bool schedule_is_lossy(const std::vector<FaultAction>& schedule) {
-  for (const auto& action : schedule) {
-    switch (action.kind) {
-      case FaultKind::kLinkDown:
-      case FaultKind::kPartition:
-      case FaultKind::kLossSpike:
-      case FaultKind::kReset:
-      case FaultKind::kCorrupt:
-        return true;
-      default:
-        break;
-    }
-  }
-  return false;
-}
-
 /// Ephemeral listen port: bind :0, read the assignment back, release it.
 /// Racy in principle, fine in practice for tests/soaks (and a collision
-/// just fails the bind, which run_chaos_case reports).
+/// just fails the bind, which run_case reports).
 std::uint16_t free_port() {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return 0;
@@ -229,41 +185,29 @@ void apply(Cluster& cluster, std::vector<bool>& crashed,
 
 }  // namespace
 
-ChaosResult run_chaos_case(const ChaosCase& chaos_case) {
-  const int n = chaos_case.n_nodes;
-
-  wl::SyntheticConfig wcfg;
-  wcfg.n_nodes = n;
-  wcfg.objects_per_node = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(chaos_case.n_objects) /
-             static_cast<std::uint64_t>(n));
-  wcfg.locality = 0.7;          // remote proposals force forwards/acquisitions
-  wcfg.complex_fraction = 0.1;  // multi-object commands cross partitions
-  wcfg.payload_bytes = 16;
-  wcfg.seed = chaos_case.seed;
-  wl::SyntheticWorkload workload(wcfg);
+fuzz::Result run_case(const fuzz::Case& c) {
+  assert(c.backend != core::Backend::kSim);
+  const int n = c.n_nodes;
+  wl::SyntheticWorkload workload(fuzz::workload_for(c));
 
   RuntimeConfig rcfg;
-  rcfg.protocol = chaos_case.protocol;
-  rcfg.cluster.n_nodes = n;
-  rcfg.cluster.forward_timeout = 20 * core::kMillisecond;
-  rcfg.cluster.test_unsafe_epochs = chaos_case.inject_bug;
-  rcfg.seed = chaos_case.seed;
+  rcfg.protocol = c.protocol;
+  rcfg.cluster = fuzz::cluster_for(c);
+  rcfg.seed = c.seed;
   rcfg.audit = false;  // the auditor rebuilds C-structs from deliver events
   rcfg.preassign_ownership = true;
   rcfg.owner_map = workload.owner_map();
 
-  LockedAuditor auditor(chaos_case.protocol, n);
+  LockedAuditor auditor(c.protocol, n);
   rcfg.observer = &auditor;
 
-  ChaosResult result;
-  result.schedule = schedule_for(chaos_case);
+  const std::vector<FaultAction> schedule = fuzz::schedule_for(c);
 
   Cluster cluster;
   cluster.host.resize(static_cast<std::size_t>(n), 0);
-  if (!chaos_case.tcp) {
+  if (c.backend == core::Backend::kLoopback) {
     auto chaos = std::make_unique<ChaosTransport>(
-        std::make_unique<LoopbackTransport>(n), n, chaos_case.seed);
+        std::make_unique<LoopbackTransport>(n), n, c.seed);
     cluster.chaos.push_back(chaos.get());
     std::vector<NodeId> all;
     for (NodeId i = 0; i < static_cast<NodeId>(n); ++i) all.push_back(i);
@@ -282,8 +226,7 @@ ChaosResult run_chaos_case(const ChaosCase& chaos_case) {
     topts.probe_interval = 50 * core::kMillisecond;
     for (NodeId i = 0; i < static_cast<NodeId>(n); ++i) {
       auto chaos = std::make_unique<ChaosTransport>(
-          std::make_unique<TcpTransport>(endpoints, topts), n,
-          chaos_case.seed + i);
+          std::make_unique<TcpTransport>(endpoints, topts), n, c.seed + i);
       cluster.chaos.push_back(chaos.get());
       cluster.runtimes.push_back(std::make_unique<Runtime>(
           rcfg, std::move(chaos), std::vector<NodeId>{i}));
@@ -294,9 +237,11 @@ ChaosResult run_chaos_case(const ChaosCase& chaos_case) {
   for (auto& rt : cluster.runtimes) {
     std::string err;
     if (!rt->start(&err)) {
-      result.violations.push_back("runtime start failed: " + err);
+      fuzz::Result failed;
+      failed.schedule = schedule;
+      failed.violations.push_back("runtime start failed: " + err);
       for (auto& r : cluster.runtimes) r->stop();
-      return result;
+      return failed;
     }
   }
 
@@ -310,16 +255,16 @@ ChaosResult run_chaos_case(const ChaosCase& chaos_case) {
   std::size_t next_action = 0;
   while (true) {
     const core::Time elapsed = real_now() - t0;
-    while (next_action < result.schedule.size() &&
-           result.schedule[next_action].at <= elapsed) {
-      apply(cluster, crashed, result.schedule[next_action]);
+    while (next_action < schedule.size() &&
+           schedule[next_action].at <= elapsed) {
+      apply(cluster, crashed, schedule[next_action]);
       ++next_action;
     }
-    if (elapsed >= chaos_case.horizon) break;
+    if (elapsed >= c.horizon) break;
     const double frac = std::min(
         1.0, static_cast<double>(elapsed) /
-                 static_cast<double>(std::max<core::Time>(1, chaos_case.horizon)));
-    const int target = static_cast<int>(frac * chaos_case.commands_per_node);
+                 static_cast<double>(std::max<core::Time>(1, c.horizon)));
+    const int target = static_cast<int>(frac * c.commands_per_node);
     for (NodeId i = 0; i < static_cast<NodeId>(n); ++i) {
       while (proposed[i] < target) {
         ++proposed[i];
@@ -329,131 +274,44 @@ ChaosResult run_chaos_case(const ChaosCase& chaos_case) {
     sleep_ns(1 * core::kMillisecond);
   }
   // Late actions (times past the horizon: recover/heal/clear undos).
-  for (; next_action < result.schedule.size(); ++next_action)
-    apply(cluster, crashed, result.schedule[next_action]);
+  for (; next_action < schedule.size(); ++next_action)
+    apply(cluster, crashed, schedule[next_action]);
 
   // Safety net: replayed/edited schedules may not end healed — calm every
   // fault and revive every node so the end-of-run checks are meaningful.
-  for (auto* c : cluster.chaos) c->calm();
+  for (auto* chaos : cluster.chaos) chaos->calm();
   for (NodeId i = 0; i < static_cast<NodeId>(n); ++i) {
     if (crashed[i]) {
       crashed[i] = false;
       cluster.of(i).recover(i);
     }
   }
-  sleep_ns(chaos_case.drain);
+  sleep_ns(c.drain);
 
   // stop() joins node threads: after this no observer callback is in
   // flight and the transport counters are final.
   for (auto& rt : cluster.runtimes) rt->stop();
 
   bool observed_loss = false;
-  for (auto* c : cluster.chaos) {
-    result.chaos_injected += c->chaos_dropped() + c->chaos_delayed() +
-                             c->chaos_duplicated() + c->chaos_corrupted() +
-                             c->chaos_resets();
-    const TransportCounters& inner = c->inner()->counters();
-    result.tx_dropped +=
+  std::uint64_t chaos_injected = 0;
+  std::uint64_t tx_dropped = 0;
+  for (auto* chaos : cluster.chaos) {
+    chaos_injected += chaos->chaos_dropped() + chaos->chaos_delayed() +
+                      chaos->chaos_duplicated() + chaos->chaos_corrupted() +
+                      chaos->chaos_resets();
+    const TransportCounters& inner = chaos->inner()->counters();
+    const std::uint64_t dropped =
         inner.messages_dropped.load(std::memory_order_relaxed);
-    observed_loss = observed_loss || c->saw_loss() ||
-                    inner.messages_dropped.load(std::memory_order_relaxed) >
-                        0 ||
+    tx_dropped += dropped;
+    observed_loss = observed_loss || chaos->saw_loss() || dropped > 0 ||
                     inner.decode_failures.load(std::memory_order_relaxed) > 0;
   }
 
-  fuzz::LivenessChecks checks = fuzz::default_checks(chaos_case.protocol);
-  result.lossy = schedule_is_lossy(result.schedule) || observed_loss;
-  if (result.lossy) {
-    checks.eventual_delivery = false;
-    checks.convergence = false;
-    // Only M²Paxos repairs local delivery under message loss (watchdog
-    // retransmissions plus anti-entropy); see fuzz::run_case.
-    if (chaos_case.protocol != core::Protocol::kM2Paxos)
-      checks.delivery_at_reporter = false;
-  }
-  auditor.finalize(checks);
-
-  result.ok = auditor.auditor().ok();
-  result.violations = auditor.auditor().violations();
-  result.proposals = auditor.auditor().proposals_seen();
-  result.committed = auditor.auditor().commits_seen();
-  result.decisions = auditor.auditor().decisions_seen();
-  result.deliveries = auditor.auditor().deliveries_seen();
-  result.nodes_crashed =
-      static_cast<int>(auditor.auditor().ever_crashed().size());
+  fuzz::Result result =
+      fuzz::finish(auditor.auditor(), c, schedule, observed_loss);
+  result.chaos_injected = chaos_injected;
+  result.tx_dropped = tx_dropped;
   return result;
-}
-
-std::vector<int> shrink_chaos_schedule(const ChaosCase& chaos_case,
-                                       ChaosResult& out_result,
-                                       int max_runs) {
-  const std::vector<FaultAction> full = schedule_for(chaos_case);
-  std::vector<int> episodes;
-  for (const auto& action : full)
-    if (episodes.empty() || episodes.back() != action.episode)
-      episodes.push_back(action.episode);
-  std::sort(episodes.begin(), episodes.end());
-  episodes.erase(std::unique(episodes.begin(), episodes.end()),
-                 episodes.end());
-
-  int runs = 0;
-  auto replay = [&](const std::vector<int>& keep, ChaosResult& result) {
-    ++runs;
-    ChaosCase sub = chaos_case;
-    sub.keep_episodes.clear();
-    // Replays filter the full schedule so action timing is preserved. An
-    // empty subset cannot ride schedule_override (empty means "generate"
-    // there), so it filters the generated schedule down to nothing instead.
-    const std::unordered_set<int> set(keep.begin(), keep.end());
-    sub.schedule_override = full;
-    std::erase_if(sub.schedule_override, [&](const FaultAction& action) {
-      return set.count(action.episode) == 0;
-    });
-    if (sub.schedule_override.empty()) sub.keep_episodes.push_back(-2);
-    result = run_chaos_case(sub);
-    return !result.ok;
-  };
-
-  // The failure must reproduce at all; and if it reproduces with no faults
-  // the schedule is irrelevant — report the empty set immediately.
-  if (!replay(episodes, out_result)) return episodes;
-  ChaosResult candidate;
-  if (replay({}, candidate)) {
-    out_result = candidate;
-    return {};
-  }
-
-  // ddmin over episode ids.
-  std::size_t granularity = 2;
-  while (episodes.size() >= 2 && runs < max_runs) {
-    const std::size_t chunk =
-        std::max<std::size_t>(1, episodes.size() / granularity);
-    bool reduced = false;
-    for (std::size_t begin = 0; begin < episodes.size() && runs < max_runs;
-         begin += chunk) {
-      const std::size_t end = std::min(begin + chunk, episodes.size());
-      std::vector<int> complement;
-      complement.reserve(episodes.size() - (end - begin));
-      complement.insert(complement.end(), episodes.begin(),
-                        episodes.begin() + static_cast<std::ptrdiff_t>(begin));
-      complement.insert(complement.end(),
-                        episodes.begin() + static_cast<std::ptrdiff_t>(end),
-                        episodes.end());
-      if (complement.empty()) continue;
-      if (replay(complement, candidate)) {
-        episodes = std::move(complement);
-        out_result = candidate;
-        granularity = std::max<std::size_t>(2, granularity - 1);
-        reduced = true;
-        break;
-      }
-    }
-    if (!reduced) {
-      if (chunk == 1) break;  // 1-minimal
-      granularity = std::min(granularity * 2, episodes.size());
-    }
-  }
-  return episodes;
 }
 
 }  // namespace m2::runtime

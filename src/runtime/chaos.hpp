@@ -1,81 +1,16 @@
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include "core/config.hpp"
-#include "core/time.hpp"
-#include "fuzz/fault_schedule.hpp"
+#include "fuzz/fuzzer.hpp"
 
 namespace m2::runtime {
 
-/// One chaos soak run against a real-clock cluster: the runtime
-/// counterpart of fuzz::FuzzCase. The seed determines the workload and the
-/// fault schedule (generated with ScheduleConfig::runtime_faults, so
-/// connection resets / wire corruption / slow peers join the sim
-/// vocabulary); real-thread interleaving makes runs non-deterministic in
-/// timing, but the injected faults replay exactly.
-struct ChaosCase {
-  core::Protocol protocol = core::Protocol::kM2Paxos;
-  int n_nodes = 5;
-  std::uint64_t seed = 1;
-  int intensity = 3;
-  /// false: one in-process cluster over ChaosTransport(Loopback).
-  /// true: one Runtime per node, each over ChaosTransport(TcpTransport)
-  /// on 127.0.0.1 with ephemeral ports — real sockets, real reconnects.
-  bool tcp = false;
-  /// Real-time fault-injection window, then `drain` of healed quiescence
-  /// before the auditor's end-of-run checks.
-  core::Time horizon = 400 * core::kMillisecond;
-  core::Time drain = 2 * core::kSecond;
-  /// Open-loop load proposed across the horizon, per node.
-  int commands_per_node = 150;
-  int n_objects = 40;
-  /// Deliberately break M²Paxos epoch safety (ClusterConfig::
-  /// test_unsafe_epochs) to validate the auditor's detection path.
-  bool inject_bug = false;
-  /// When non-empty, replay exactly these actions instead of the schedule
-  /// generated from `seed` (used by the shrinker and --keep replays).
-  std::vector<fuzz::FaultAction> schedule_override;
-  /// When set, restrict the generated schedule to these episode ids
-  /// (ignored when schedule_override is non-empty).
-  std::vector<int> keep_episodes;
-};
-
-struct ChaosResult {
-  bool ok = false;
-  std::vector<std::string> violations;
-  /// The schedule that was actually applied.
-  std::vector<fuzz::FaultAction> schedule;
-  std::uint64_t proposals = 0;
-  std::uint64_t committed = 0;
-  std::uint64_t decisions = 0;
-  std::uint64_t deliveries = 0;
-  int nodes_crashed = 0;
-  /// Faults the chaos layer actually fired (drops + delays + dups +
-  /// corruptions + resets, summed over transports).
-  std::uint64_t chaos_injected = 0;
-  /// Transport-level drops underneath the chaos layer (queue caps,
-  /// reconnect backoff, write failures).
-  std::uint64_t tx_dropped = 0;
-  /// True when liveness checks were downgraded — scheduled lossy faults or
-  /// observed message loss anywhere in the stack.
-  bool lossy = false;
-};
-
-/// Executes one case: builds the cluster(s), applies the fault schedule at
-/// real-time offsets while proposing an open-loop workload, calms every
-/// fault, drains, stops, and audits the full trace with the SafetyAuditor.
-ChaosResult run_chaos_case(const ChaosCase& chaos_case);
-
-/// ddmin over episode ids, exactly like fuzz::shrink_schedule but replaying
-/// real-clock runs — hence the much smaller default budget (each replay
-/// costs horizon + drain of wall time). A non-deterministic failure may
-/// shrink to a superset of the true minimum; reported episodes always
-/// reproduce at least once. Precondition: run_chaos_case(chaos_case) fails.
-std::vector<int> shrink_chaos_schedule(const ChaosCase& chaos_case,
-                                       ChaosResult& out_result,
-                                       int max_runs = 24);
+/// Executes one fault case on a real-clock cluster (c.backend kLoopback or
+/// kTcp; see fuzz::Case). kLoopback: one in-process cluster over
+/// ChaosTransport(Loopback). kTcp: one Runtime per node, each over
+/// ChaosTransport(TcpTransport) on 127.0.0.1 with ephemeral ports — real
+/// sockets, real reconnects. Applies the fault schedule at real-time
+/// offsets while proposing an open-loop workload, calms every fault,
+/// drains, stops, and audits the full trace with the SafetyAuditor.
+fuzz::Result run_case(const fuzz::Case& c);
 
 }  // namespace m2::runtime

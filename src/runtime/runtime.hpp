@@ -12,8 +12,8 @@
 
 #include "core/config.hpp"
 #include "core/cstruct.hpp"
+#include "core/observer.hpp"
 #include "core/owner_map.hpp"
-#include "harness/cluster.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/node.hpp"
 #include "runtime/transport.hpp"
@@ -42,7 +42,7 @@ struct RuntimeConfig {
   /// whichever threads drive propose()/crash()/recover(), concurrently:
   /// the observer must be thread-safe (wrap it in a lock; chaos.cpp's
   /// runner does). Must outlive the Runtime.
-  harness::ClusterObserver* observer = nullptr;
+  core::ClusterObserver* observer = nullptr;
 };
 
 /// A real-clock consensus cluster: the runtime counterpart of

@@ -12,8 +12,8 @@
 namespace m2 {
 namespace {
 
-fuzz::FuzzCase base_case(core::Protocol p, std::uint64_t seed, int nodes = 5) {
-  fuzz::FuzzCase fuzz_case;
+fuzz::Case base_case(core::Protocol p, std::uint64_t seed, int nodes = 5) {
+  fuzz::Case fuzz_case;
   fuzz_case.protocol = p;
   fuzz_case.n_nodes = nodes;
   fuzz_case.seed = seed;
@@ -147,14 +147,15 @@ TEST(Fuzzer, InjectedEpochBugIsCaught) {
   // reproduces the violation.
   auto fuzz_case = base_case(core::Protocol::kM2Paxos, failing_seed);
   fuzz_case.inject_bug = true;
-  fuzz::FuzzResult shrunk_result;
-  const auto episodes = fuzz::shrink_schedule(fuzz_case, shrunk_result, 60);
+  fuzz::Result shrunk_result;
+  const auto episodes =
+      fuzz::shrink_schedule(fuzz_case, shrunk_result, fuzz::run_case, 60);
   EXPECT_FALSE(shrunk_result.ok);
   EXPECT_FALSE(shrunk_result.violations.empty());
 
   // Replaying exactly the surviving episodes reproduces the failure.
-  fuzz_case.keep_episodes = episodes;
-  if (episodes.empty()) fuzz_case.keep_episodes.push_back(-2);
+  fuzz_case.schedule =
+      fuzz::keep_episodes(fuzz::schedule_for(fuzz_case), episodes);
   const auto replay = fuzz::run_case(fuzz_case);
   EXPECT_FALSE(replay.ok);
 
@@ -164,6 +165,92 @@ TEST(Fuzzer, InjectedEpochBugIsCaught) {
   EXPECT_TRUE(healthy_result.ok)
       << (healthy_result.violations.empty() ? ""
                                             : healthy_result.violations.front());
+}
+
+/// A schedule of ten one-action episodes (ids 0..9, 10 ms apart) and a fake
+/// run that fails iff episodes 3 and 7 are both applied: the shrinker's
+/// search, budget and replay timing without a cluster.
+std::vector<fuzz::FaultAction> ten_episodes() {
+  std::vector<fuzz::FaultAction> schedule;
+  for (int e = 0; e < 10; ++e) {
+    fuzz::FaultAction action;
+    action.at = (e + 1) * 10 * sim::kMillisecond;
+    action.kind = fuzz::FaultKind::kLatencySpike;
+    action.value = 2.0;
+    action.episode = e;
+    schedule.push_back(action);
+  }
+  return schedule;
+}
+
+struct FakeRun {
+  std::vector<fuzz::FaultAction> original = ten_episodes();
+  bool fails_without_faults = false;
+  int runs = 0;
+  bool times_kept = true;
+
+  fuzz::Result operator()(const fuzz::Case& c) {
+    ++runs;
+    const auto schedule = fuzz::schedule_for(c);
+    bool has3 = false, has7 = false;
+    for (const auto& action : schedule) {
+      has3 = has3 || action.episode == 3;
+      has7 = has7 || action.episode == 7;
+      times_kept = times_kept && action.at == original[action.episode].at;
+    }
+    fuzz::Result result;
+    result.ok = !(fails_without_faults || (has3 && has7));
+    if (!result.ok) result.violations.push_back("fake");
+    result.schedule = schedule;
+    return result;
+  }
+};
+
+fuzz::Case fake_case() {
+  fuzz::Case c;
+  c.schedule = ten_episodes();
+  return c;
+}
+
+TEST(Shrinker, FindsExactlyTheTwoEpisodesThatFail) {
+  FakeRun fake;
+  fuzz::Result out;
+  const auto episodes = fuzz::shrink_schedule(
+      fake_case(), out, [&](const fuzz::Case& c) { return fake(c); }, 200);
+  EXPECT_EQ(episodes, (std::vector<int>{3, 7}));
+  EXPECT_FALSE(out.ok);
+  ASSERT_EQ(out.schedule.size(), 2u);
+  EXPECT_EQ(out.schedule[0].episode, 3);
+  EXPECT_EQ(out.schedule[1].episode, 7);
+  EXPECT_TRUE(fake.times_kept);
+}
+
+TEST(Shrinker, ReturnsNoEpisodesWhenTheFailureNeedsNoFaults) {
+  FakeRun fake;
+  fake.fails_without_faults = true;
+  fuzz::Result out;
+  const auto episodes = fuzz::shrink_schedule(
+      fake_case(), out, [&](const fuzz::Case& c) { return fake(c); }, 200);
+  EXPECT_TRUE(episodes.empty());
+  EXPECT_FALSE(out.ok);
+  EXPECT_TRUE(out.schedule.empty());
+  EXPECT_EQ(fake.runs, 2);  // the full schedule, then no faults
+}
+
+TEST(Shrinker, StopsAtTheReplayBudget) {
+  for (const int budget : {2, 3, 5}) {
+    FakeRun fake;
+    fuzz::Result out;
+    const auto episodes = fuzz::shrink_schedule(
+        fake_case(), out, [&](const fuzz::Case& c) { return fake(c); },
+        budget);
+    EXPECT_EQ(fake.runs, budget);
+    EXPECT_FALSE(out.ok);
+    // Whatever it stopped at still holds both culprits.
+    EXPECT_NE(std::find(episodes.begin(), episodes.end(), 3), episodes.end());
+    EXPECT_NE(std::find(episodes.begin(), episodes.end(), 7), episodes.end());
+    EXPECT_TRUE(fake.times_kept);
+  }
 }
 
 TEST(Fuzzer, DefaultChecksMatchProtocolCapabilities) {

@@ -579,15 +579,22 @@ TEST(ChaosTransportUnit, InboxToleratesDuplicatedAndReorderedTraffic) {
 
 // ------------------------------------------------------------ soak runner
 
+fuzz::Case runtime_case(std::uint64_t seed, int nodes, core::Time horizon,
+                        core::Time drain, int commands) {
+  fuzz::Case c;
+  c.protocol = core::Protocol::kM2Paxos;
+  c.backend = core::Backend::kLoopback;
+  c.n_nodes = nodes;
+  c.seed = seed;
+  c.horizon = horizon;
+  c.drain = drain;
+  c.commands_per_node = commands;
+  return c;
+}
+
 TEST(ChaosRunner, CleanSeedCommitsAndPassesAuditor) {
-  ChaosCase cc;
-  cc.protocol = core::Protocol::kM2Paxos;
-  cc.n_nodes = 4;
-  cc.seed = 1;
-  cc.horizon = 250 * core::kMillisecond;
-  cc.drain = 1500 * core::kMillisecond;
-  cc.commands_per_node = 60;
-  const ChaosResult result = run_chaos_case(cc);
+  const fuzz::Result result = runtime::run_case(runtime_case(
+      1, 4, 250 * core::kMillisecond, 1500 * core::kMillisecond, 60));
   EXPECT_TRUE(result.ok) << (result.violations.empty()
                                  ? "no violations"
                                  : result.violations.front());
@@ -603,31 +610,20 @@ TEST(ChaosRunner, DetectsInjectedEpochSafetyBug) {
   // may get lucky, so scan a few; the sweep in CI uses the same mechanism.
   bool caught = false;
   for (std::uint64_t seed = 1; seed <= 5 && !caught; ++seed) {
-    ChaosCase cc;
-    cc.protocol = core::Protocol::kM2Paxos;
-    cc.n_nodes = 5;
-    cc.seed = seed;
-    cc.horizon = 300 * core::kMillisecond;
-    cc.drain = 1500 * core::kMillisecond;
-    cc.commands_per_node = 100;
-    cc.inject_bug = true;
-    const ChaosResult result = run_chaos_case(cc);
-    caught = !result.ok;
+    fuzz::Case c = runtime_case(seed, 5, 300 * core::kMillisecond,
+                                1500 * core::kMillisecond, 100);
+    c.inject_bug = true;
+    caught = !runtime::run_case(c).ok;
   }
   EXPECT_TRUE(caught) << "injected epoch bug evaded the auditor on 5 seeds";
 }
 
 TEST(ChaosRunner, KeepEpisodesRestrictsTheSchedule) {
-  ChaosCase cc;
-  cc.protocol = core::Protocol::kM2Paxos;
-  cc.n_nodes = 4;
-  cc.seed = 2;
-  cc.horizon = 200 * core::kMillisecond;
-  cc.drain = 1200 * core::kMillisecond;
-  cc.commands_per_node = 40;
-  const ChaosResult full = run_chaos_case(cc);
-  cc.keep_episodes = {-2};  // sentinel: keep nothing — a calm run
-  const ChaosResult calm = run_chaos_case(cc);
+  fuzz::Case c = runtime_case(2, 4, 200 * core::kMillisecond,
+                              1200 * core::kMillisecond, 40);
+  const fuzz::Result full = runtime::run_case(c);
+  c.schedule.emplace();  // keep no episode: a calm run
+  const fuzz::Result calm = runtime::run_case(c);
   EXPECT_TRUE(calm.ok);
   EXPECT_TRUE(calm.schedule.empty());
   EXPECT_LT(calm.schedule.size(), full.schedule.size());
