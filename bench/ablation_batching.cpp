@@ -26,7 +26,7 @@ int main() {
   table.set_header({"protocol", "none", "net", "cmd", "net+cmd", "net gain",
                     "cmd gain", "combined"});
 
-  for (const auto p : all_protocols()) {
+  for (const auto p : core::kProtocols) {
     // tput[net][cmd]
     double tput[2][2] = {{0, 0}, {0, 0}};
     for (const bool net_batching : {false, true}) {

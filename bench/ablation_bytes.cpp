@@ -17,7 +17,7 @@ void run_case(const std::string& label, double complex_fraction) {
   harness::Table table("Ablation A3 — bytes per command (" + label + ")");
   table.set_header({"protocol", "bytes/cmd", "msgs/cmd", "top message kinds"});
 
-  for (const auto p : all_protocols()) {
+  for (const auto p : core::kProtocols) {
     auto cfg = base_config(p, n);
     cfg.load.clients_per_node = 48;
     cfg.load.max_inflight_per_node = 48;

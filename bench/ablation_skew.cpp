@@ -20,7 +20,7 @@ int main() {
     header.push_back("theta=" + harness::Table::num(t, 2));
   table.set_header(header);
 
-  for (const auto p : all_protocols()) {
+  for (const auto p : core::kProtocols) {
     std::vector<std::string> row{core::to_string(p)};
     for (const double theta : thetas) {
       auto cfg = base_config(p, n);

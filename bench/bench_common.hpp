@@ -90,14 +90,6 @@ inline bool quick_mode() {
   return env != nullptr && env[0] == '1';
 }
 
-/// Protocols in the paper's plotting order.
-inline const std::vector<core::Protocol>& all_protocols() {
-  static const std::vector<core::Protocol> protocols = {
-      core::Protocol::kMultiPaxos, core::Protocol::kGenPaxos,
-      core::Protocol::kEPaxos, core::Protocol::kM2Paxos};
-  return protocols;
-}
-
 /// Node counts for the scalability sweeps (paper: 3..49).
 inline std::vector<int> node_counts() {
   if (quick_mode()) return {3, 7, 11};

@@ -19,7 +19,7 @@ int main() {
     std::vector<std::string> row{std::to_string(n)};
     double per_protocol[4] = {0, 0, 0, 0};
     int idx = 0;
-    for (const auto p : all_protocols()) {
+    for (const auto p : core::kProtocols) {
       const auto sat = harness::find_max_throughput(
           base_config(p, n),
           [n] {

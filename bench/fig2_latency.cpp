@@ -15,7 +15,7 @@ int main() {
     std::vector<std::string> row{std::to_string(n)};
     double med[4] = {0, 0, 0, 0};
     int idx = 0;
-    for (const auto p : all_protocols()) {
+    for (const auto p : core::kProtocols) {
       auto cfg = base_config(p, n);
       cfg.network.batching = false;  // the figure's distinguishing setting
       // Light load: latency is measured well below every protocol's

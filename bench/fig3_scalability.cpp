@@ -17,7 +17,7 @@ int main() {
   for (const int n : node_counts()) {
     std::vector<std::string> row{std::to_string(n)};
     double m2 = 0;
-    for (const auto p : all_protocols()) {
+    for (const auto p : core::kProtocols) {
       auto cfg = base_config(p, n);
       cfg.load.clients_per_node = 64;
       cfg.load.think_time = 5 * sim::kMillisecond;  // the figure's setting

@@ -16,7 +16,7 @@ int main() {
   double m2_4 = 0, m2_16 = 0, ep_4 = 0, ep_16 = 0;
   for (const int cores : {4, 8, 16, 32}) {
     std::vector<std::string> row{std::to_string(cores)};
-    for (const auto p : all_protocols()) {
+    for (const auto p : core::kProtocols) {
       auto cfg = base_config(p, n);
       cfg.cluster.cores_per_node = cores;
       const auto sat = harness::find_max_throughput(

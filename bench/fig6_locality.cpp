@@ -19,7 +19,7 @@ int main() {
     table.set_header(header);
 
     double m2_first = 0, m2_sum = 0;
-    for (const auto p : all_protocols()) {
+    for (const auto p : core::kProtocols) {
       std::vector<std::string> row{core::to_string(p)};
       for (const int pct : remote_pcts) {
         // Saturation throughput: at a fixed in-flight cap the extra

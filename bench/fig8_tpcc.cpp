@@ -21,12 +21,12 @@ int main() {
             ? "Fig. 8(a) — TPC-C, 0% commands on a remote warehouse"
             : "Fig. 8(b) — TPC-C, 15% commands on a remote warehouse");
     std::vector<std::string> header{"nodes"};
-    for (const auto p : all_protocols()) header.push_back(core::to_string(p));
+    for (const auto p : core::kProtocols) header.push_back(core::to_string(p));
     table.set_header(header);
 
     for (const int n : nodes) {
       std::vector<std::string> row{std::to_string(n)};
-      for (const auto p : all_protocols()) {
+      for (const auto p : core::kProtocols) {
         auto cfg = base_config(p, n);
         cfg.load.clients_per_node = 64;
         cfg.load.max_inflight_per_node = 64;

@@ -26,10 +26,6 @@
 //
 // M2_BENCH_QUICK=1 shrinks the message counts for smoke runs (<5 s).
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstdio>
 #include <vector>
@@ -178,38 +174,19 @@ MixResult run_loopback_bcast(std::uint64_t warmup_calls,
   return r;
 }
 
-/// Binds an ephemeral port, records it, and releases it. The tiny window
-/// between close and the transport's bind is benign here (local bench).
-std::uint16_t free_port() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return 0;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  std::uint16_t port = 0;
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-    socklen_t len = sizeof(addr);
-    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0)
-      port = ntohs(addr.sin_port);
-  }
-  ::close(fd);
-  return port;
-}
-
 /// Localhost TCP: two TcpTransport instances in one process, each serving
 /// one node, connected over real sockets. The sender pushes windows of
 /// frames and the receiving side's reader thread decodes and hands off to
 /// the inbox; throughput counts delivered messages at the receiver.
 MixResult run_tcp(std::uint64_t warmup_msgs, std::uint64_t measure_msgs) {
   runtime::MonotonicClock clock;
-  const std::uint16_t port_a = free_port();
-  const std::uint16_t port_b = free_port();
+  const std::uint16_t port_a = runtime::free_port();
+  const std::uint16_t port_b = runtime::free_port();
   if (port_a == 0 || port_b == 0 || port_a == port_b) {
     std::fprintf(stderr, "FAIL: cannot allocate bench ports\n");
     return {};
   }
-  const std::vector<runtime::Endpoint> endpoints = {
+  const std::vector<core::NodeAddress> endpoints = {
       {"127.0.0.1", port_a}, {"127.0.0.1", port_b}};
   runtime::TcpTransport sender(endpoints);
   runtime::TcpTransport receiver(endpoints);

@@ -1,15 +1,16 @@
 #pragma once
 
 /// \file
-/// Public configuration for m2::ClusterBuilder — one validated document
-/// that selects a protocol, a backend, and the cluster shape. Everything a
-/// typical embedder touches lives here; the advanced protocol knobs
-/// (timeouts, batching, cost model) stay on core::ClusterConfig, reachable
-/// through Config::tuning.
+/// Public configuration for m2::ClusterBuilder and m2node — one validated
+/// document that selects a protocol, a backend, and the cluster shape.
+/// Everything a typical embedder touches lives here; the advanced protocol
+/// knobs (timeouts, batching, cost model) stay on core::ClusterConfig,
+/// reachable through Config::tuning. Cluster spec files (JSON, see
+/// Config::parse) parse into this same struct.
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
@@ -23,10 +24,7 @@ namespace m2 {
 using Backend = core::Backend;
 
 /// Network address of one cluster node (Backend::kTcp).
-struct NodeAddress {
-  std::string host;
-  std::uint16_t port = 0;
-};
+using NodeAddress = core::NodeAddress;
 
 /// Cluster recipe consumed by m2::ClusterBuilder::build().
 ///
@@ -47,7 +45,8 @@ struct Config {
   /// Size of each node's initially-owned contiguous object range: node n
   /// owns objects [n*objects_per_node, (n+1)*objects_per_node). The
   /// M²Paxos steady-state setup (the paper's partitioned workloads);
-  /// ignored when preassign_ownership is off.
+  /// ignored when preassign_ownership is off. 0 on the threaded backends:
+  /// object o starts at node o mod N.
   std::uint64_t objects_per_node = 1024;
 
   /// Install the partition map as initial M²Paxos ownership. Off = every
@@ -66,27 +65,8 @@ struct Config {
   /// Backend::kTcp: the subset of nodes this process serves.
   std::vector<NodeId> local_nodes;
 
-  /// Socket wire-path tuning (Backend::kTcp only; mirrors
-  /// runtime::TransportOptions, see runtime/tcp_transport.hpp).
-  struct Transport {
-    /// Max bytes one peer-writer flush coalesces into a single sendmsg().
-    std::size_t max_coalesce_bytes = 256 * 1024;
-    /// Per-peer cap on queued-but-unsent frame bytes; frames beyond it are
-    /// dropped (and counted) rather than buffered without bound.
-    std::size_t max_queue_bytes = 8 * 1024 * 1024;
-    /// Connection lifecycle (milliseconds; mirrors TransportOptions, where
-    /// the semantics are documented in full). Dial timeout per attempt:
-    std::int64_t connect_timeout_ms = 500;
-    /// Reconnect backoff: decorrelated jitter between base and cap.
-    std::int64_t backoff_base_ms = 10;
-    std::int64_t backoff_cap_ms = 2000;
-    /// Consecutive connect failures before a peer is marked suspect / down.
-    int suspect_after = 1;
-    int down_after = 3;
-    /// Probe cadence for re-dialing a down peer.
-    std::int64_t probe_interval_ms = 500;
-  };
-  Transport transport;
+  /// Socket wire-path tuning (Backend::kTcp only).
+  core::TransportOptions transport;
 
   /// Advanced protocol/cost knobs (core::ClusterConfig). n_nodes in here
   /// is overwritten from `nodes`/`addresses` at build time.
@@ -95,6 +75,44 @@ struct Config {
   /// Empty string when the config is buildable; otherwise a human-readable
   /// description of the first problem.
   std::string validate() const;
+
+  /// Parses a cluster spec document — the file every m2node process of a
+  /// TCP deployment reads, so one document defines the whole cluster:
+  ///
+  ///   {
+  ///     "protocol": "m2paxos",            // any core::to_string name
+  ///     "seed": 1,
+  ///     "nodes": [                         // node i = i-th entry
+  ///       {"host": "127.0.0.1", "port": 7101},
+  ///       {"host": "127.0.0.1", "port": 7102},
+  ///       {"host": "127.0.0.1", "port": 7103}
+  ///     ],
+  ///     "objects_per_node": 64,            // contiguous-range ownership map
+  ///     "enable_failure_detector": false,
+  ///     "batching": {                      // optional; defaults = tuning
+  ///       "enabled": true,
+  ///       "max_commands": 16,
+  ///       "window_us": 200,
+  ///       "max_bytes": 16384,
+  ///       "pipeline_depth": 4
+  ///     },
+  ///     "transport": {                     // optional; `transport` fields,
+  ///       "max_coalesce_bytes": 262144,    // times in milliseconds
+  ///       "max_queue_bytes": 8388608,      // (connect_timeout_ms, ...)
+  ///       "connect_timeout_ms": 500
+  ///     }
+  ///   }
+  ///
+  /// The result is a Backend::kTcp config whose `addresses` are the nodes
+  /// and whose `local_nodes` are all of them; a process serving a subset
+  /// narrows local_nodes. Without "objects_per_node", objects_per_node is
+  /// 0: object o starts at node o mod N. Unknown keys are rejected (typos
+  /// should fail loudly, not silently run a different experiment), and the
+  /// result must pass validate(). On failure returns false and sets
+  /// `*error`.
+  static bool parse(std::string_view text, Config* out, std::string* error);
+  /// Reads and parses the spec file at `path`.
+  static bool load(const std::string& path, Config* out, std::string* error);
 };
 
 }  // namespace m2

@@ -1,8 +1,11 @@
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "net/payload.hpp"
 #include "core/time.hpp"
@@ -34,6 +37,11 @@ struct CostModel {
   }
 };
 
+/// Cap on the randomized backoff between M²Paxos ownership-acquisition
+/// retries, and the Multi-Paxos leader's retry delay for a stalled Prepare
+/// (keeps the unbounded-retry scenario of §IV-C live).
+inline constexpr Time kRetryBackoffMax = 4 * kMillisecond;
+
 /// Static cluster configuration shared by all protocols.
 struct ClusterConfig {
   int n_nodes = 3;
@@ -43,19 +51,6 @@ struct ClusterConfig {
   /// Timeout after which a node that forwarded a command to an owner (or to
   /// the leader) takes over and re-proposes (Algorithm 1 line 13).
   Time forward_timeout = 50 * kMillisecond;
-
-  /// Base for randomized exponential backoff between ownership-acquisition
-  /// retries (keeps the unbounded-retry scenario of §IV-C live).
-  Time retry_backoff_min = 200 * kMicrosecond;
-  Time retry_backoff_max = 4 * kMillisecond;
-
-  /// Failure-detector heartbeat period and suspicion timeout.
-  Time heartbeat_period = 10 * kMillisecond;
-  Time suspect_timeout = 50 * kMillisecond;
-
-  /// When true, replicas keep their full delivered sequence in memory for
-  /// consistency auditing (tests). Benchmarks turn this off.
-  bool record_delivered = true;
 
   /// M²Paxos anti-entropy (extension): period between sync probes for
   /// stuck delivery frontiers. sync_period 0 disables probing.
@@ -86,9 +81,6 @@ struct ClusterConfig {
     /// flight before the accumulator holds commands back — so the batch
     /// window never serializes on the quorum RTT. Clamped to >= 1.
     int pipeline_depth = 4;
-    /// Anti-entropy probe width (objects per SyncRequest); predates the
-    /// command-batching knobs but is batching of the same kind.
-    std::size_t sync_batch = 16;
 
     bool valid() const { return batch_max_commands > 0; }
 
@@ -120,17 +112,6 @@ struct ClusterConfig {
   /// behind learn the frontier via delivered floors and sync from there.
   /// Bounds log memory for marathon/fuzz runs.
   std::size_t gc_margin = 1024;
-
-  /// M²Paxos crossing resolution is a recovery path: the (deterministic)
-  /// wait-cycle search runs at most once per interval, not per message,
-  /// and covers the frontiers that moved since the previous search.
-  Time crossing_check_interval = 2 * kMillisecond;
-
-  /// M²Paxos acquisition fallback (§IV-C "bounding the communication
-  /// delays"): after this many failed coordinations, the command is routed
-  /// through the designated conflict leader (node 0), which serializes
-  /// contended ownership acquisitions. 0 disables the fallback.
-  int acquisition_fallback_after = 8;
 
   /// TEST ONLY — deliberately breaks M²Paxos safety so the fuzzing
   /// auditor's detection path can be validated end-to-end: acceptors skip
@@ -174,7 +155,22 @@ struct ClusterConfig {
 /// Protocols implemented in this repository.
 enum class Protocol { kMultiPaxos, kGenPaxos, kEPaxos, kM2Paxos };
 
+/// Every protocol, in enum order (the paper's plotting order).
+inline constexpr std::array<Protocol, 4> kProtocols = {
+    Protocol::kMultiPaxos, Protocol::kGenPaxos, Protocol::kEPaxos,
+    Protocol::kM2Paxos};
+
+/// Display name: "MultiPaxos", "GenPaxos", "EPaxos" or "M2Paxos". The one
+/// table of protocol names; every other spelling derives from it.
 std::string to_string(Protocol p);
+
+/// to_string(p) in lower case ("m2paxos"): how flags and spec files spell
+/// a protocol.
+std::string lower_name(Protocol p);
+
+/// The protocol whose to_string() name matches `name` ignoring case, or
+/// nullopt.
+std::optional<Protocol> parse_protocol(std::string_view name);
 
 /// Execution backend a cluster runs on (m2::ClusterBuilder, the fault-case
 /// runner).
@@ -194,5 +190,49 @@ enum class Backend {
 
 /// Lower-case name: "sim", "loopback" or "tcp".
 std::string to_string(Backend b);
+
+/// Network address of one cluster node (Backend::kTcp).
+struct NodeAddress {
+  std::string host;
+  std::uint16_t port = 0;
+};
+
+/// Tuning knobs for the socket wire path (Backend::kTcp): m2::Config's
+/// `transport`, the spec key "transport", and runtime::TcpTransport's
+/// options. Spec files write the time knobs in milliseconds (`*_ms`).
+struct TransportOptions {
+  /// Upper bound on the bytes one writer flush coalesces into a single
+  /// sendmsg() call. Larger values amortize syscalls further under load;
+  /// the bound keeps any one flush from monopolizing the socket buffer.
+  std::size_t max_coalesce_bytes = 256 * 1024;
+  /// Per-peer cap on queued-but-unsent frame bytes. Beyond it, new frames
+  /// are dropped (and counted in messages_dropped) instead of queued:
+  /// consensus tolerates message loss, unbounded buffering it does not.
+  std::size_t max_queue_bytes = 8 * 1024 * 1024;
+  // Connection lifecycle (see runtime/peer_health.hpp for the state
+  // machine these parameterize).
+  /// Hard bound on one connect attempt: non-blocking connect + poll. A
+  /// black-holed peer costs at most this per dial, never a kernel-default
+  /// TCP timeout (minutes).
+  Time connect_timeout = 500 * kMillisecond;
+  /// Decorrelated-jitter backoff between reconnect attempts: first retry
+  /// waits ~backoff_base, growth is capped at backoff_cap.
+  Time backoff_base = 10 * kMillisecond;
+  Time backoff_cap = 2 * kSecond;
+  /// Consecutive connect failures before a peer is marked suspect / down.
+  int suspect_after = 1;
+  int down_after = 3;
+  /// Dial cadence for a down peer. Probing replaces per-send reconnects:
+  /// a dead peer costs one bounded connect attempt per interval.
+  Time probe_interval = 500 * kMillisecond;
+
+  /// All knobs positive and thresholds ordered.
+  bool valid() const {
+    return max_coalesce_bytes > 0 && max_queue_bytes > 0 &&
+           connect_timeout > 0 && backoff_base > 0 &&
+           backoff_cap >= backoff_base && suspect_after > 0 &&
+           down_after >= suspect_after && probe_interval > 0;
+  }
+};
 
 }  // namespace m2::core

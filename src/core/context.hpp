@@ -91,8 +91,8 @@ class Context : public Clock {
   /// the M²Paxos fast path it fires after two communication delays.
   virtual void committed(const Command& c) = 0;
 
-  // --- observation hooks (default no-op; the harness wires these into the
-  // --- flight recorder and the fuzzing safety auditor) -------------------
+  // --- observation hooks (default no-op; the harness and the runtime
+  // --- forward them to the cluster's ClusterObserver) --------------------
 
   /// Reports that this node learned the decision of consensus slot
   /// ⟨object, instance⟩. Protocols without per-object logs report their

@@ -5,7 +5,7 @@ namespace m2::core {
 FailureDetector::FailureDetector(NodeId self, const ClusterConfig& cfg,
                                  Context& ctx)
     : self_(self),
-      cfg_(cfg),
+      n_nodes_(cfg.n_nodes),
       ctx_(ctx),
       last_heard_(static_cast<std::size_t>(cfg.n_nodes), 0) {}
 
@@ -34,7 +34,7 @@ void FailureDetector::tick() {
     last_leader_ = now_leader;
     if (on_leader_change_) on_leader_change_(now_leader);
   }
-  timer_ = ctx_.set_timer(cfg_.heartbeat_period, [this] { tick(); });
+  timer_ = ctx_.set_timer(kHeartbeatPeriod, [this] { tick(); });
 }
 
 void FailureDetector::on_heartbeat(NodeId from) {
@@ -47,11 +47,11 @@ bool FailureDetector::is_suspected(NodeId node) const {
   // itself leader without a Prepare.
   if (!running_) return false;
   if (node == self_) return false;
-  return ctx_.now() - last_heard_[node] > cfg_.suspect_timeout;
+  return ctx_.now() - last_heard_[node] > kSuspectTimeout;
 }
 
 NodeId FailureDetector::leader() const {
-  for (NodeId n = 0; n < static_cast<NodeId>(cfg_.n_nodes); ++n)
+  for (NodeId n = 0; n < static_cast<NodeId>(n_nodes_); ++n)
     if (!is_suspected(n)) return n;
   return self_;
 }

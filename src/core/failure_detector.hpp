@@ -20,13 +20,17 @@ struct Heartbeat final : net::Message<Heartbeat, net::kKindCommon + 1> {
   static auto fields(auto& m, auto& v) { return v(m.sender); }
 };
 
+/// Heartbeat period and the silence after which a node is suspected.
+inline constexpr Time kHeartbeatPeriod = 10 * kMillisecond;
+inline constexpr Time kSuspectTimeout = 50 * kMillisecond;
+
 /// Eventually-perfect failure detector (◇P-style) built from periodic
 /// heartbeats, plus the Ω leader election the paper assumes (§III):
 /// the leader is the lowest-id node not currently suspected.
 ///
 /// A protocol replica owns one detector, calls on_heartbeat() for incoming
 /// Heartbeat payloads, and queries leader()/is_suspected(). Suspicion is
-/// conservative: a node is suspected after `suspect_timeout` of silence and
+/// conservative: a node is suspected after kSuspectTimeout of silence and
 /// trusted again on the next heartbeat.
 class FailureDetector {
  public:
@@ -58,7 +62,7 @@ class FailureDetector {
   void tick();
 
   NodeId self_;
-  ClusterConfig cfg_;
+  int n_nodes_;
   Context& ctx_;
   std::vector<sim::Time> last_heard_;
   core::TimerHandle timer_ = core::kInvalidTimer;

@@ -322,7 +322,6 @@ void EPaxosReplica::try_execute(InstRef r) {
     ++counters_.delivered;
     m_inc(stats::Counter::kDelivered);
     m_span_deliver(st.path, st.proposed_at);
-    if (cfg_.record_delivered) delivered_seq_.push_back(st.cmd);
     ctx_.deliver(st.cmd);
   }
   if (!plan.to_execute.empty() && (delivered_count_ & 0x3ff) == 0)

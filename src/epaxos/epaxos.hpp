@@ -129,10 +129,6 @@ class EPaxosReplica final : public core::Replica {
   void on_recover() override;
 
   const EpCounters& counters() const { return counters_; }
-  const std::vector<Command>& delivered_sequence() const {
-    return delivered_seq_;
-  }
-
  private:
   enum class Status : std::uint8_t {
     kNone,
@@ -195,7 +191,6 @@ class EPaxosReplica final : public core::Replica {
   std::unordered_map<InstRef, std::vector<InstRef>> exec_waiters_;
   std::vector<std::uint64_t> pruned_below_;
   std::uint64_t next_slot_ = 1;
-  std::vector<Command> delivered_seq_;
   std::uint64_t delivered_count_ = 0;
   bool crashed_ = false;
   EpCounters counters_;

@@ -245,7 +245,6 @@ void GenPaxosReplica::try_deliver() {
     }
     ++counters_.delivered;
     m_inc(stats::Counter::kDelivered);
-    if (cfg_.record_delivered) delivered_seq_.push_back(c);
     auto pit = pending_.find(c.id);
     if (pit != pending_.end()) {
       if (!pit->second.commit_reported) {

@@ -154,10 +154,6 @@ class GenPaxosReplica final : public core::Replica {
   void on_recover() override;
 
   const GpCounters& counters() const { return counters_; }
-  const std::vector<Command>& delivered_sequence() const {
-    return delivered_seq_;
-  }
-
  private:
   struct PendingCommand {
     Command cmd;
@@ -216,7 +212,6 @@ class GenPaxosReplica final : public core::Replica {
   // Learner.
   std::map<std::uint64_t, Command> seq_log_;
   std::uint64_t last_delivered_ = 0;
-  std::vector<Command> delivered_seq_;
   std::unordered_set<CommandId> delivered_ids_;
   std::deque<CommandId> delivered_fifo_;
 

@@ -39,18 +39,11 @@ class NodeContext final : public core::Context {
   sim::Rng& rng() override { return rng_; }
 
   void send(NodeId to, net::PayloadPtr payload) override {
-    if (cluster_.recorder_.enabled())
-      cluster_.recorder_.record({now(), id_, trace::Event::Kind::kSend, to,
-                                 payload->name(), payload->wire_size()});
     charge_tx(payload->wire_size());
     cluster_.network_->send(id_, to, std::move(payload));
   }
 
   void broadcast(net::PayloadPtr payload, bool include_self) override {
-    if (cluster_.recorder_.enabled())
-      cluster_.recorder_.record({now(), id_, trace::Event::Kind::kBroadcast,
-                                 kNoNode, payload->name(),
-                                 payload->wire_size()});
     const int n = cluster_.n_nodes();
     const int recipients = include_self ? n : n - 1;
     charge_tx(payload->wire_size() * static_cast<std::size_t>(recipients));
@@ -98,7 +91,6 @@ Cluster::Cluster(ExperimentConfig cfg, wl::Workload& workload)
   inflight_.assign(static_cast<std::size_t>(n), 0);
   delivered_.assign(static_cast<std::size_t>(n), 0);
   cstructs_.resize(static_cast<std::size_t>(n));
-  cfg_.cluster.record_delivered = cfg_.audit;
 
   if (cfg_.cluster.metrics.enabled) {
     for (int i = 0; i < n; ++i)
@@ -169,38 +161,26 @@ void Cluster::on_deliver(NodeId n, const core::Command& c) {
   ++delivered_[n];
   if (cfg_.audit) cstructs_[n].append(c);
   if (observer_ != nullptr) observer_->on_deliver(sim_.now(), n, c);
-  if (recorder_.enabled())
-    recorder_.record({sim_.now(), n, trace::Event::Kind::kDeliver, kNoNode,
-                      "", c.id.value});
 }
 
 void Cluster::on_decided(NodeId n, core::ObjectId l, core::Instance in,
                          const core::Command& c) {
   if (observer_ != nullptr) observer_->on_decided(sim_.now(), n, l, in, c);
-  if (recorder_.enabled())
-    recorder_.record({sim_.now(), n, trace::Event::Kind::kDecide, kNoNode, "",
-                      c.id.value, l, in});
 }
 
 void Cluster::on_ownership(NodeId n, core::ObjectId l, core::Epoch e,
                            NodeId owner, bool acquired) {
   if (observer_ != nullptr)
     observer_->on_ownership(sim_.now(), n, l, e, owner, acquired);
-  if (recorder_.enabled())
-    recorder_.record({sim_.now(), n, trace::Event::Kind::kOwnership, owner,
-                      acquired ? "acquired" : "observed", 0, l, e});
 }
 
 void Cluster::crash(NodeId n) {
-  recorder_.record({sim_.now(), n, trace::Event::Kind::kCrash, kNoNode, "", 0});
   if (observer_ != nullptr) observer_->on_crash(sim_.now(), n);
   network_->set_crashed(n, true);
   replicas_[n]->on_crash();
 }
 
 void Cluster::recover(NodeId n) {
-  recorder_.record(
-      {sim_.now(), n, trace::Event::Kind::kRecover, kNoNode, "", 0});
   if (observer_ != nullptr) observer_->on_recover(sim_.now(), n);
   network_->set_crashed(n, false);
   replicas_[n]->on_recover();

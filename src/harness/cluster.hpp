@@ -14,7 +14,6 @@
 #include "sim/simulator.hpp"
 #include "stats/histogram.hpp"
 #include "stats/metrics.hpp"
-#include "trace/trace.hpp"
 #include "workload/workload.hpp"
 
 namespace m2::harness {
@@ -129,9 +128,6 @@ class Cluster {
   /// sim-layer gauges (event-queue depth, in-flight commands) snapshotted.
   stats::MetricsRegistry merged_metrics() const;
 
-  /// Flight recorder: enable, then dump on failure (tests).
-  trace::Recorder& recorder() { return recorder_; }
-
   /// Installs (or clears, with nullptr) the event observer. Not owned;
   /// must outlive the cluster or be cleared before destruction.
   void set_observer(ClusterObserver* observer) { observer_ = observer; }
@@ -178,7 +174,6 @@ class Cluster {
                                                sim::Time>>>
       propose_times_{256, core::PoolAlloc<char>(latency_pool_)};
   std::vector<core::CStruct> cstructs_;
-  trace::Recorder recorder_;
   ClusterObserver* observer_ = nullptr;
 };
 

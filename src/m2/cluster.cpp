@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "harness/cluster.hpp"
-#include "runtime/runtime.hpp"
+#include "m2/runtime_config.hpp"
 #include "runtime/tcp_transport.hpp"
 #include "workload/synthetic.hpp"
 
@@ -153,36 +153,25 @@ class RuntimeCluster final : public Cluster {
   std::unique_ptr<runtime::Runtime> runtime_;
 };
 
-runtime::TransportOptions to_transport_options(const Config::Transport& t) {
-  runtime::TransportOptions options;
-  options.max_coalesce_bytes = t.max_coalesce_bytes;
-  options.max_queue_bytes = t.max_queue_bytes;
-  options.connect_timeout = t.connect_timeout_ms * core::kMillisecond;
-  options.backoff_base = t.backoff_base_ms * core::kMillisecond;
-  options.backoff_cap = t.backoff_cap_ms * core::kMillisecond;
-  options.suspect_after = t.suspect_after;
-  options.down_after = t.down_after;
-  options.probe_interval = t.probe_interval_ms * core::kMillisecond;
-  return options;
-}
+}  // namespace
 
-runtime::RuntimeConfig to_runtime_config(const Config& cfg, int n_nodes) {
+runtime::RuntimeConfig to_runtime_config(const Config& cfg) {
+  const int n = cfg.backend == Backend::kTcp
+                    ? static_cast<int>(cfg.addresses.size())
+                    : cfg.nodes;
   runtime::RuntimeConfig rt;
   rt.protocol = cfg.protocol;
   rt.cluster = cfg.tuning;
-  rt.cluster.n_nodes = n_nodes;
+  rt.cluster.n_nodes = n;
   rt.seed = cfg.seed;
   rt.enable_failure_detector = cfg.enable_failure_detector;
   rt.audit = cfg.audit;
   rt.preassign_ownership = cfg.preassign_ownership;
-  rt.owner_map =
-      cfg.objects_per_node > 0
-          ? core::OwnerMap::divide(cfg.objects_per_node)
-          : core::OwnerMap::modulo(static_cast<std::uint64_t>(n_nodes));
+  rt.owner_map = cfg.objects_per_node > 0
+                     ? core::OwnerMap::divide(cfg.objects_per_node)
+                     : core::OwnerMap::modulo(static_cast<std::uint64_t>(n));
   return rt;
 }
-
-}  // namespace
 
 CommandId Cluster::propose(NodeId node, ObjectList objects,
                            std::uint32_t payload_bytes) {
@@ -212,8 +201,7 @@ std::string Config::validate() const {
       protocol == core::Protocol::kM2Paxos && backend == Backend::kSim)
     return "preassigned ownership needs objects_per_node > 0";
   if (!tuning.batching.valid()) return "invalid batching configuration";
-  if (!to_transport_options(transport).valid())
-    return "invalid transport configuration";
+  if (!transport.valid()) return "invalid transport configuration";
   return {};
 }
 
@@ -226,23 +214,15 @@ std::unique_ptr<Cluster> ClusterBuilder::build(std::string* error) const {
     case Backend::kSim:
       return std::make_unique<SimCluster>(cfg_);
     case Backend::kLoopback: {
-      auto rt = std::make_unique<runtime::Runtime>(
-          to_runtime_config(cfg_, cfg_.nodes));
+      auto rt = std::make_unique<runtime::Runtime>(to_runtime_config(cfg_));
       if (!rt->start(error)) return nullptr;
       return std::make_unique<RuntimeCluster>(cfg_, std::move(rt));
     }
     case Backend::kTcp: {
-      const int n = static_cast<int>(cfg_.addresses.size());
-      std::vector<runtime::Endpoint> endpoints;
-      endpoints.reserve(cfg_.addresses.size());
-      for (const auto& a : cfg_.addresses)
-        endpoints.push_back({a.host, a.port});
-      const runtime::TransportOptions options =
-          to_transport_options(cfg_.transport);
       auto rt = std::make_unique<runtime::Runtime>(
-          to_runtime_config(cfg_, n),
-          std::make_unique<runtime::TcpTransport>(std::move(endpoints),
-                                                  options),
+          to_runtime_config(cfg_),
+          std::make_unique<runtime::TcpTransport>(cfg_.addresses,
+                                                  cfg_.transport),
           cfg_.local_nodes);
       if (!rt->start(error)) return nullptr;
       return std::make_unique<RuntimeCluster>(cfg_, std::move(rt));

@@ -22,6 +22,16 @@ static_assert(core::ClusterConfig::Batching::kMaxBatchCommands <=
 /// (one multi-command slot per object touched by the flush).
 constexpr std::size_t kMaxSlotsPerBatchRound = 8;
 
+/// §IV-C acquisition fallback ("bounding the communication delays"): after
+/// this many failed coordinations a command is routed through the
+/// designated conflict leader (node 0), which serializes contended
+/// ownership acquisitions.
+constexpr int kAcquisitionFallbackAfter = 8;
+
+/// Base of the randomized exponential backoff between ownership-acquisition
+/// retries; growth is capped at core::kRetryBackoffMax.
+constexpr sim::Time kRetryBackoffMin = 200 * sim::kMicrosecond;
+
 }  // namespace
 
 void HeadIndex::use_table(std::size_t n_heads) {
@@ -103,7 +113,7 @@ bool M2PaxosReplica::send_sync_probe(NodeId peer) {
     const Slot* s = st.log.find(st.last_appended + 1);
     if (s != nullptr && s->decided) continue;
     entries.push_back(SyncRequest::Entry{l, st.last_appended + 1});
-    if (entries.size() >= cfg_.batching.sync_batch) break;
+    if (entries.size() >= SyncRequest::kMaxEntries) break;
   }
   if (entries.empty()) return false;
   ++counters_.sync_probes;
@@ -343,8 +353,7 @@ void M2PaxosReplica::coordinate(core::CommandId id) {
   // through the designated conflict leader, which serializes contended
   // acquisitions (contending commands queue behind each other there
   // instead of NACKing each other's prepares forever).
-  if (cfg_.acquisition_fallback_after > 0 &&
-      pc.attempts >= cfg_.acquisition_fallback_after && id_ != 0) {
+  if (pc.attempts >= kAcquisitionFallbackAfter && id_ != 0) {
     ++counters_.fallbacks;
     m_inc(stats::Counter::kFallbacks);
     pc.path = stats::Path::kSlow;
@@ -836,7 +845,6 @@ void M2PaxosReplica::deliver_command(const core::CommandPtr& c,
                                      ObjectState* hint) {
   delivered_ids_.insert(c->id);
   if (!c->noop) {
-    if (cfg_.record_delivered) delivered_seq_.push_back(*c);
     ++counters_.delivered;
     m_inc(stats::Counter::kDelivered);
   }
@@ -890,7 +898,6 @@ void M2PaxosReplica::deliver_batch_member(const core::CommandPtr& c) {
   // batch's slot frontier once after unrolling every member.
   delivered_ids_.insert(c->id);
   if (!c->noop) {
-    if (cfg_.record_delivered) delivered_seq_.push_back(*c);
     ++counters_.delivered;
     m_inc(stats::Counter::kDelivered);
   }
@@ -910,7 +917,7 @@ void M2PaxosReplica::deliver_batch_member(const core::CommandPtr& c) {
 void M2PaxosReplica::schedule_crossing_check() {
   if (crossing_timer_ != core::kInvalidTimer || crashed_) return;
   crossing_timer_ =
-      ctx_.set_timer(cfg_.crossing_check_interval, [this] {
+      ctx_.set_timer(kCrossingCheckInterval, [this] {
         crossing_timer_ = core::kInvalidTimer;
         if (crashed_ || stuck_objects_.empty()) return;
         if (delivering_) return;  // re-armed by the active try_deliver
@@ -1390,8 +1397,8 @@ void M2PaxosReplica::retry_later(core::CommandId id) {
   m_inc(stats::Counter::kRetries);
 
   const int shift = std::min(pc.attempts, 6);
-  const sim::Time base = std::min(cfg_.retry_backoff_max,
-                                  cfg_.retry_backoff_min << shift);
+  const sim::Time base =
+      std::min(core::kRetryBackoffMax, kRetryBackoffMin << shift);
   const sim::Time delay =
       base / 2 + static_cast<sim::Time>(ctx_.rng().uniform(
                      static_cast<std::uint64_t>(base)));

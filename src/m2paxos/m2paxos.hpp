@@ -19,6 +19,11 @@
 
 namespace m2::m2p {
 
+/// Crossing resolution (DESIGN.md §5a #6) is a recovery path: the
+/// (deterministic) wait-cycle search runs at most once per interval, not
+/// per message, and covers the frontiers that moved since the last search.
+inline constexpr core::Time kCrossingCheckInterval = 2 * core::kMillisecond;
+
 /// Per-replica protocol statistics, used by tests and the ablation benches.
 struct M2Counters {
   std::uint64_t fast_path_rounds = 0;   // accept started while owning all
@@ -122,11 +127,6 @@ class M2PaxosReplica final : public core::Replica {
   std::vector<ObjectId> stuck_objects() const {
     return {stuck_objects_.begin(), stuck_objects_.end()};
   }
-  /// Commands (non-noop) appended locally, in order — the local C-struct.
-  const std::vector<core::Command>& delivered_sequence() const {
-    return delivered_seq_;
-  }
-
  private:
   struct PendingCommand {
     core::CommandPtr cmd;
@@ -281,7 +281,6 @@ class M2PaxosReplica final : public core::Replica {
   /// Dedup window over delivered ids: per-proposer bitmaps, O(1) probes
   /// (see delivered_window.hpp — the hash-set version dominated delivery).
   DeliveredWindow delivered_ids_;
-  std::vector<core::Command> delivered_seq_;     // only if cfg.record_delivered
   /// Objects whose frontier may have advanced, queued as stable table
   /// pointers so the delivery loop skips the hash lookup per entry.
   PooledDeque<ObjectState*> dirty_objects_;

@@ -375,9 +375,11 @@ struct SyncRequest final : net::Message<SyncRequest, net::kKindM2Paxos + 7> {
       return v(m.object, m.from_instance);
     }
   };
-  /// Inline capacity covers the default sync_batch (16), so probes built
-  /// on the steady-state sync path never heap-allocate.
-  using EntryList = core::SmallVec<Entry, 16>;
+  /// Anti-entropy probe width: a replica asks for at most this many
+  /// objects per SyncRequest. The inline capacity covers it, so probes
+  /// built on the steady-state sync path never heap-allocate.
+  static constexpr std::size_t kMaxEntries = 16;
+  using EntryList = core::SmallVec<Entry, kMaxEntries>;
   SyncRequest() = default;
   explicit SyncRequest(EntryList e) : entries(std::move(e)) {}
   EntryList entries;

@@ -358,7 +358,7 @@ void MultiPaxosReplica::handle_promise(const Promise& msg) {
   if (!msg.ack) {
     // Lost the race to a higher ballot; retry if Ω still nominates us.
     preparing_ = false;
-    ctx_.set_timer(cfg_.retry_backoff_max, [this] {
+    ctx_.set_timer(core::kRetryBackoffMax, [this] {
       if (!crashed_ && fd_.leader() == id_ && leader_ != id_)
         start_leader_change();
     });
@@ -502,7 +502,6 @@ void MultiPaxosReplica::try_deliver() {
         delivered_fifo_.pop_front();
       }
       if (!c.noop) {
-        if (cfg_.record_delivered) delivered_seq_.push_back(c);
         ++counters_.delivered;
         m_inc(stats::Counter::kDelivered);
         auto pit = pending_.find(c.id);

@@ -183,10 +183,6 @@ class MultiPaxosReplica final : public core::Replica {
   bool is_leader() const { return leader_ == id_ && !preparing_; }
   NodeId current_leader() const { return leader_; }
   const MpCounters& counters() const { return counters_; }
-  const std::vector<Command>& delivered_sequence() const {
-    return delivered_seq_;
-  }
-
  private:
   struct SlotState {
     Ballot accepted_ballot = 0;  // highest ballot a value was accepted at
@@ -264,7 +260,6 @@ class MultiPaxosReplica final : public core::Replica {
 
   // Learner state.
   std::uint64_t last_delivered_ = 0;
-  std::vector<Command> delivered_seq_;
   std::unordered_set<CommandId> delivered_ids_;
   std::deque<CommandId> delivered_fifo_;
 

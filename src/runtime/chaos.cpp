@@ -1,9 +1,5 @@
 #include "runtime/chaos.hpp"
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cassert>
 #include <chrono>
@@ -80,26 +76,6 @@ class LockedAuditor final : public core::ClusterObserver {
   std::mutex mu_;
   fuzz::SafetyAuditor auditor_;
 };
-
-/// Ephemeral listen port: bind :0, read the assignment back, release it.
-/// Racy in principle, fine in practice for tests/soaks (and a collision
-/// just fails the bind, which run_case reports).
-std::uint16_t free_port() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return 0;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  std::uint16_t port = 0;
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-    socklen_t len = sizeof(addr);
-    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0)
-      port = ntohs(addr.sin_port);
-  }
-  ::close(fd);
-  return port;
-}
 
 /// Latency scale `value` (sim semantics: propagation multiplied by value)
 /// mapped onto an absolute hold-back: (value - 1) extra milliseconds per
@@ -214,12 +190,12 @@ fuzz::Result run_case(const fuzz::Case& c) {
     cluster.runtimes.push_back(
         std::make_unique<Runtime>(rcfg, std::move(chaos), all));
   } else {
-    std::vector<Endpoint> endpoints;
+    std::vector<core::NodeAddress> endpoints;
     for (int i = 0; i < n; ++i)
       endpoints.push_back({"127.0.0.1", free_port()});
     // Snappier lifecycle than production defaults so reconnects and probes
     // land well inside the drain window.
-    TransportOptions topts;
+    core::TransportOptions topts;
     topts.connect_timeout = 200 * core::kMillisecond;
     topts.backoff_base = 5 * core::kMillisecond;
     topts.backoff_cap = 200 * core::kMillisecond;

@@ -19,7 +19,6 @@ Runtime::Runtime(RuntimeConfig cfg, std::unique_ptr<Transport> transport,
     : cfg_(std::move(cfg)), transport_(std::move(transport)) {
   const int n = cfg_.cluster.n_nodes;
   assert(n > 0);
-  cfg_.cluster.record_delivered = cfg_.audit;
   if (transport_ == nullptr) {
     transport_ = std::make_unique<LoopbackTransport>(n);
     local_nodes.clear();

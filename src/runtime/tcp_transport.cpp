@@ -184,8 +184,25 @@ struct TcpTransport::Peer {
   }
 };
 
-TcpTransport::TcpTransport(std::vector<Endpoint> endpoints,
-                           TransportOptions options)
+std::uint16_t free_port() {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return 0;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  std::uint16_t port = 0;
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+    socklen_t len = sizeof(addr);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0)
+      port = ntohs(addr.sin_port);
+  }
+  ::close(fd);
+  return port;
+}
+
+TcpTransport::TcpTransport(std::vector<core::NodeAddress> endpoints,
+                           core::TransportOptions options)
     : endpoints_(std::move(endpoints)),
       options_(options),
       inboxes_(endpoints_.size(), nullptr) {
@@ -223,7 +240,7 @@ void TcpTransport::start() {
   }
   for (NodeId n = 0; n < static_cast<NodeId>(inboxes_.size()); ++n) {
     if (inboxes_[n] == nullptr) continue;  // remote node, not served here
-    const Endpoint& ep = endpoints_[n];
+    const core::NodeAddress& ep = endpoints_[n];
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) {
       error_ = "socket(): " + std::string(std::strerror(errno));
@@ -388,7 +405,7 @@ void TcpTransport::reader_loop(int fd, NodeId target) {
   }
 }
 
-int TcpTransport::connect_to(const Endpoint& ep) {
+int TcpTransport::connect_to(const core::NodeAddress& ep) {
   addrinfo hints{};
   hints.ai_family = AF_INET;
   hints.ai_socktype = SOCK_STREAM;

@@ -9,56 +9,18 @@
 #include <thread>
 #include <vector>
 
-#include "core/time.hpp"
+#include "core/config.hpp"
 #include "net/payload.hpp"
 #include "runtime/peer_health.hpp"
 #include "runtime/transport.hpp"
 
 namespace m2::runtime {
 
-/// Network address of one cluster node.
-struct Endpoint {
-  std::string host;
-  std::uint16_t port = 0;
-};
-
-/// Tuning knobs for the socket wire path (spec key "transport", config
-/// m2::Config::transport).
-struct TransportOptions {
-  /// Upper bound on the bytes one writer flush coalesces into a single
-  /// sendmsg() call. Larger values amortize syscalls further under load;
-  /// the bound keeps any one flush from monopolizing the socket buffer.
-  std::size_t max_coalesce_bytes = 256 * 1024;
-  /// Per-peer cap on queued-but-unsent frame bytes. Beyond it, new frames
-  /// are dropped (and counted in messages_dropped) instead of queued:
-  /// consensus tolerates message loss, unbounded buffering it does not.
-  std::size_t max_queue_bytes = 8 * 1024 * 1024;
-  // Connection lifecycle (see runtime/peer_health.hpp for the state
-  // machine these parameterize).
-  /// Hard bound on one connect attempt: non-blocking connect + poll. A
-  /// black-holed peer costs at most this per dial, never a kernel-default
-  /// TCP timeout (minutes).
-  core::Time connect_timeout = 500 * core::kMillisecond;
-  /// Decorrelated-jitter backoff between reconnect attempts: first retry
-  /// waits ~backoff_base, growth is capped at backoff_cap.
-  core::Time backoff_base = 10 * core::kMillisecond;
-  core::Time backoff_cap = 2 * core::kSecond;
-  /// Consecutive connect failures before a peer is marked suspect / down.
-  int suspect_after = 1;
-  int down_after = 3;
-  /// Dial cadence for a down peer. Probing replaces per-send reconnects:
-  /// a dead peer costs one bounded connect attempt per interval.
-  core::Time probe_interval = 500 * core::kMillisecond;
-
-  /// All knobs positive and thresholds ordered (mirrors
-  /// core::Config::Batching::valid()).
-  bool valid() const {
-    return max_coalesce_bytes > 0 && max_queue_bytes > 0 &&
-           connect_timeout > 0 && backoff_base > 0 &&
-           backoff_cap >= backoff_base && suspect_after > 0 &&
-           down_after >= suspect_after && probe_interval > 0;
-  }
-};
+/// An unused localhost TCP port: binds port 0, reads the kernel's choice
+/// back and releases it; 0 when no port could be had. Another process can
+/// take the port before the caller binds it, which then fails that bind
+/// (tests, soaks and benches report it).
+std::uint16_t free_port();
 
 /// Real-socket transport: one TCP listener per locally attached node, one
 /// outbound stream per remote peer owned by a dedicated writer thread.
@@ -88,8 +50,8 @@ class TcpTransport final : public Transport {
  public:
   /// `endpoints[i]` is node i's listen address; the cluster size is
   /// endpoints.size(). Local nodes are the ones later attach()ed.
-  explicit TcpTransport(std::vector<Endpoint> endpoints,
-                        TransportOptions options = {});
+  explicit TcpTransport(std::vector<core::NodeAddress> endpoints,
+                        core::TransportOptions options = {});
   ~TcpTransport() override;
 
   void attach(NodeId node, Inbox* inbox) override;
@@ -151,15 +113,15 @@ class TcpTransport final : public Transport {
   bool flush_batch(Peer& peer, NodeId to, const std::vector<Frame*>& batch);
   /// One bounded connect attempt (non-blocking connect + poll with
   /// options_.connect_timeout). Returns the fd, or -1.
-  int connect_to(const Endpoint& ep);
+  int connect_to(const core::NodeAddress& ep);
   /// Dials `to` and records the outcome in its health machine, publishing
   /// the fd and counters. Returns true when connected.
   bool try_connect(Peer& peer, NodeId to);
   void accept_loop(Listener* listener);
   void reader_loop(int fd, NodeId target);
 
-  std::vector<Endpoint> endpoints_;
-  TransportOptions options_;
+  std::vector<core::NodeAddress> endpoints_;
+  core::TransportOptions options_;
   std::vector<Inbox*> inboxes_;  // nullptr for remote nodes
   std::vector<std::unique_ptr<Peer>> peers_;
   std::vector<std::unique_ptr<Listener>> listeners_;

@@ -115,13 +115,6 @@ TEST(Batching, NormalizationClamps) {
   EXPECT_EQ(b.normalized().pipeline_depth, 1);
 }
 
-TEST(Batching, SyncBatchLivesInTheSubStruct) {
-  ClusterConfig cfg;
-  EXPECT_EQ(cfg.batching.sync_batch, 16u);
-  cfg.batching.sync_batch = 4;
-  EXPECT_TRUE(cfg.batching.valid());
-}
-
 // ---------------------------------------------------------------------
 // CStruct and the consistency checkers
 // ---------------------------------------------------------------------

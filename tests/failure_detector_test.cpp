@@ -88,7 +88,7 @@ TEST(FailureDetector, CrashedNodeIsSuspectedAfterTimeout) {
   h.start_all();
   h.run_for(200 * sim::kMillisecond);
   h.crashed_[0] = true;
-  h.run_for(h.cfg_.suspect_timeout + 2 * h.cfg_.heartbeat_period);
+  h.run_for(kSuspectTimeout + 2 * kHeartbeatPeriod);
   EXPECT_TRUE(h.fds_[1]->is_suspected(0));
   EXPECT_TRUE(h.fds_[2]->is_suspected(0));
   EXPECT_EQ(h.fds_[1]->leader(), 1u);  // Ω moves to the next node
@@ -100,10 +100,10 @@ TEST(FailureDetector, RecoveredNodeIsTrustedAgain) {
   h.start_all();
   h.run_for(100 * sim::kMillisecond);
   h.crashed_[0] = true;
-  h.run_for(h.cfg_.suspect_timeout + 2 * h.cfg_.heartbeat_period);
+  h.run_for(kSuspectTimeout + 2 * kHeartbeatPeriod);
   ASSERT_TRUE(h.fds_[1]->is_suspected(0));
   h.crashed_[0] = false;
-  h.run_for(3 * h.cfg_.heartbeat_period);
+  h.run_for(3 * kHeartbeatPeriod);
   EXPECT_FALSE(h.fds_[1]->is_suspected(0));
   EXPECT_EQ(h.fds_[1]->leader(), 0u);  // Ω returns to the lowest id
 }
@@ -115,7 +115,7 @@ TEST(FailureDetector, LeaderChangeCallbackFires) {
   h.start_all();
   h.run_for(100 * sim::kMillisecond);
   h.crashed_[0] = true;
-  h.run_for(h.cfg_.suspect_timeout + 3 * h.cfg_.heartbeat_period);
+  h.run_for(kSuspectTimeout + 3 * kHeartbeatPeriod);
   EXPECT_EQ(observed, 1u);
 }
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "harness/cluster.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 #include "test_util.hpp"
@@ -147,6 +152,69 @@ TEST(Harness, M2PaxosFastPathMessageBudget) {
       static_cast<double>(total.messages_sent) / static_cast<double>(k);
   EXPECT_GE(per_cmd, 7.5);
   EXPECT_LE(per_cmd, 9.5);
+}
+
+// The cluster's event trace is its observer (core::ClusterObserver): the
+// fuzzing auditor and runtime tracers read protocol activity through it.
+
+/// Records each observed event as "<kind> <node>".
+class EventLog final : public core::ClusterObserver {
+ public:
+  void on_propose(sim::Time, NodeId n, const core::Command&) override {
+    add("propose", n);
+  }
+  void on_decided(sim::Time, NodeId n, core::ObjectId, core::Instance,
+                  const core::Command&) override {
+    add("decide", n);
+  }
+  void on_deliver(sim::Time, NodeId n, const core::Command&) override {
+    add("deliver", n);
+  }
+  void on_committed(sim::Time, NodeId n, const core::Command&) override {
+    add("commit", n);
+  }
+  void on_crash(sim::Time, NodeId n) override { add("crash", n); }
+  void on_recover(sim::Time, NodeId n) override { add("recover", n); }
+
+  bool has(const std::string& event) const {
+    return std::find(events_.begin(), events_.end(), event) != events_.end();
+  }
+
+ private:
+  void add(const char* kind, NodeId n) {
+    events_.push_back(std::string(kind) + " " + std::to_string(n));
+  }
+  std::vector<std::string> events_;
+};
+
+TEST(ClusterTrace, RecordsProtocolActivity) {
+  wl::SyntheticWorkload workload({3, 100, 1.0, 0.0, 16, 1});
+  auto cfg = test::test_config(core::Protocol::kM2Paxos, 3, 1);
+  Cluster cluster(cfg, workload);
+  EventLog log;
+  cluster.set_observer(&log);
+  cluster.set_measuring(true);
+  cluster.propose(0, test::cmd(0, 1, {0}));
+  cluster.run_idle();
+
+  EXPECT_TRUE(log.has("propose 0"));
+  EXPECT_TRUE(log.has("commit 0"));
+  for (const char* node : {"0", "1", "2"}) {
+    EXPECT_TRUE(log.has(std::string("decide ") + node)) << node;
+    EXPECT_TRUE(log.has(std::string("deliver ") + node)) << node;
+  }
+}
+
+TEST(ClusterTrace, CrashAndRecoveryAppear) {
+  wl::SyntheticWorkload workload({3, 100, 1.0, 0.0, 16, 1});
+  auto cfg = test::test_config(core::Protocol::kM2Paxos, 3, 1);
+  Cluster cluster(cfg, workload);
+  EventLog log;
+  cluster.set_observer(&log);
+  cluster.crash(2);
+  cluster.recover(2);
+  EXPECT_TRUE(log.has("crash 2"));
+  EXPECT_TRUE(log.has("recover 2"));
 }
 
 TEST(Table, FormatsAligned) {

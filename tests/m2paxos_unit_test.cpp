@@ -291,8 +291,7 @@ TEST(M2PaxosUnit, ForwardedProposeGoesToOwner) {
 /// Runs the simulator past the crossing-check interval, so a check armed by
 /// the last delivery attempt fires exactly once.
 void fire_crossing_check(Fixture& f) {
-  f.ctx.sim.run_until(f.ctx.sim.now() +
-                      Fixture::make_cfg().crossing_check_interval + 1);
+  f.ctx.sim.run_until(f.ctx.sim.now() + kCrossingCheckInterval + 1);
 }
 
 std::vector<core::CommandId> delivered_ids(const ScriptedContext& ctx,

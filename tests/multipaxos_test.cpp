@@ -106,7 +106,7 @@ TEST(MultiPaxos, LeaderFailoverElectsNextNode) {
 
   t.cluster.crash(0);
   // Wait past the suspicion timeout for node 1 to take over.
-  t.cluster.run_for(t.cfg.cluster.suspect_timeout + 100 * sim::kMillisecond);
+  t.cluster.run_for(core::kSuspectTimeout + 100 * sim::kMillisecond);
   EXPECT_EQ(t.replica(1).current_leader(), 1u);
 
   t.cluster.propose(2, cmd(2, 1, {2}));
@@ -124,7 +124,7 @@ TEST(MultiPaxos, InFlightCommandsSurviveFailover) {
   // Crash the leader while traffic is in flight.
   t.cluster.run_for(200 * sim::kMicrosecond);
   t.cluster.crash(0);
-  t.cluster.run_for(t.cfg.cluster.suspect_timeout + 500 * sim::kMillisecond);
+  t.cluster.run_for(core::kSuspectTimeout + 500 * sim::kMillisecond);
   // All commands must be re-proposed to the new leader and delivered at
   // the surviving nodes exactly once.
   EXPECT_EQ(t.cluster.delivered_at(3), 10u);

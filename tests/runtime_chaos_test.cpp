@@ -26,26 +26,10 @@
 #include "runtime/clock.hpp"
 #include "runtime/peer_health.hpp"
 #include "runtime/runtime.hpp"
-#include "runtime/spec.hpp"
 #include "runtime/tcp_transport.hpp"
 
 namespace m2::runtime {
 namespace {
-
-std::uint16_t chaos_free_port() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  socklen_t len = sizeof(addr);
-  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  const std::uint16_t port = ntohs(addr.sin_port);
-  ::close(fd);
-  return port;
-}
 
 net::PayloadPtr make_accept(std::uint64_t req_id) {
   core::Command cmd(core::CommandId::make(0, 1), {7}, 16);
@@ -158,6 +142,7 @@ TEST(PeerHealth, StringNamesCoverEveryState) {
 // ----------------------------------------------------- option validation
 
 TEST(TransportOptions, ValidRejectsNonPositiveAndMisorderedKnobs) {
+  using core::TransportOptions;
   TransportOptions good;
   EXPECT_TRUE(good.valid());
 
@@ -191,44 +176,44 @@ TEST(ClusterSpecTransport, ParsesLifecycleKnobsAndRejectsInvalid) {
       "probe_interval_ms": 100
     }
   })";
-  ClusterSpec spec;
+  m2::Config cfg;
   std::string error;
-  ASSERT_TRUE(ClusterSpec::parse(text, &spec, &error)) << error;
-  EXPECT_EQ(spec.transport.connect_timeout, 250 * core::kMillisecond);
-  EXPECT_EQ(spec.transport.backoff_base, 5 * core::kMillisecond);
-  EXPECT_EQ(spec.transport.backoff_cap, 1000 * core::kMillisecond);
-  EXPECT_EQ(spec.transport.suspect_after, 2);
-  EXPECT_EQ(spec.transport.down_after, 5);
-  EXPECT_EQ(spec.transport.probe_interval, 100 * core::kMillisecond);
+  ASSERT_TRUE(m2::Config::parse(text, &cfg, &error)) << error;
+  EXPECT_EQ(cfg.transport.connect_timeout, 250 * core::kMillisecond);
+  EXPECT_EQ(cfg.transport.backoff_base, 5 * core::kMillisecond);
+  EXPECT_EQ(cfg.transport.backoff_cap, 1000 * core::kMillisecond);
+  EXPECT_EQ(cfg.transport.suspect_after, 2);
+  EXPECT_EQ(cfg.transport.down_after, 5);
+  EXPECT_EQ(cfg.transport.probe_interval, 100 * core::kMillisecond);
 
-  EXPECT_FALSE(ClusterSpec::parse(
+  EXPECT_FALSE(m2::Config::parse(
       R"({"nodes": [{"host": "a", "port": 1}],
           "transport": {"backoff_base_ms": 0}})",
-      &spec, &error));
+      &cfg, &error));
   EXPECT_NE(error.find("invalid transport"), std::string::npos);
-  EXPECT_FALSE(ClusterSpec::parse(
+  EXPECT_FALSE(m2::Config::parse(
       R"({"nodes": [{"host": "a", "port": 1}],
           "transport": {"backoff_base_ms": 100, "backoff_cap_ms": 50}})",
-      &spec, &error));
-  EXPECT_FALSE(ClusterSpec::parse(
+      &cfg, &error));
+  EXPECT_FALSE(m2::Config::parse(
       R"({"nodes": [{"host": "a", "port": 1}],
           "transport": {"suspect_after": 3, "down_after": 2}})",
-      &spec, &error));
-  EXPECT_FALSE(ClusterSpec::parse(
+      &cfg, &error));
+  EXPECT_FALSE(m2::Config::parse(
       R"({"nodes": [{"host": "a", "port": 1}],
           "transport": {"probe_ms": 1}})",  // unknown key
-      &spec, &error));
+      &cfg, &error));
 }
 
 TEST(ClusterBuilderTransport, ConfigValidateCoversLifecycleKnobs) {
   m2::Config cfg;
   EXPECT_TRUE(cfg.validate().empty());
-  cfg.transport.backoff_base_ms = 0;
+  cfg.transport.backoff_base = 0;
   EXPECT_NE(cfg.validate().find("transport"), std::string::npos);
-  cfg.transport.backoff_base_ms = 10;
-  cfg.transport.backoff_cap_ms = 5;
+  cfg.transport.backoff_base = 10 * core::kMillisecond;
+  cfg.transport.backoff_cap = 5 * core::kMillisecond;
   EXPECT_FALSE(cfg.validate().empty());
-  cfg.transport.backoff_cap_ms = 2000;
+  cfg.transport.backoff_cap = 2 * core::kSecond;
   cfg.transport.down_after = 0;
   EXPECT_FALSE(cfg.validate().empty());
 }
@@ -262,9 +247,9 @@ TEST(TcpLifecycle, ConnectTimeoutBoundsDialToUnresponsivePeer) {
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  std::vector<Endpoint> endpoints = {{"127.0.0.1", chaos_free_port()},
-                                     {"127.0.0.1", port}};
-  TransportOptions options;
+  std::vector<core::NodeAddress> endpoints = {{"127.0.0.1", free_port()},
+                                              {"127.0.0.1", port}};
+  core::TransportOptions options;
   options.connect_timeout = 100 * core::kMillisecond;
   options.backoff_base = 5 * core::kMillisecond;
   options.backoff_cap = 50 * core::kMillisecond;
@@ -293,9 +278,9 @@ TEST(TcpLifecycle, ConnectTimeoutBoundsDialToUnresponsivePeer) {
 
 TEST(TcpLifecycle, DeadPeerGoesDownWithoutConnectStormThenRecovers) {
   // Nothing listens on the peer port: every dial fails fast (ECONNREFUSED).
-  std::vector<Endpoint> endpoints = {{"127.0.0.1", chaos_free_port()},
-                                     {"127.0.0.1", chaos_free_port()}};
-  TransportOptions options;
+  std::vector<core::NodeAddress> endpoints = {{"127.0.0.1", free_port()},
+                                              {"127.0.0.1", free_port()}};
+  core::TransportOptions options;
   options.connect_timeout = 200 * core::kMillisecond;
   options.backoff_base = 5 * core::kMillisecond;
   options.backoff_cap = 40 * core::kMillisecond;
@@ -364,9 +349,9 @@ TEST(TcpLifecycle, DeadPeerGoesDownWithoutConnectStormThenRecovers) {
 }
 
 TEST(TcpLifecycle, LifecycleCountersFoldIntoMergedMetrics) {
-  std::vector<Endpoint> endpoints = {{"127.0.0.1", chaos_free_port()},
-                                     {"127.0.0.1", chaos_free_port()}};
-  TransportOptions options;
+  std::vector<core::NodeAddress> endpoints = {{"127.0.0.1", free_port()},
+                                              {"127.0.0.1", free_port()}};
+  core::TransportOptions options;
   options.backoff_base = 1 * core::kMillisecond;
   options.backoff_cap = 10 * core::kMillisecond;
   options.probe_interval = 10 * core::kMillisecond;
@@ -491,8 +476,8 @@ TEST(ChaosTransportUnit, CorruptOverTcpTearsDownViaCrcCheck) {
   // ChaosTransport over two real TcpTransports: inject_corrupt flips a
   // body byte after the CRC is computed, so the receiver counts a decode
   // failure and kills the connection — the full wire teardown path.
-  std::vector<Endpoint> endpoints = {{"127.0.0.1", chaos_free_port()},
-                                     {"127.0.0.1", chaos_free_port()}};
+  std::vector<core::NodeAddress> endpoints = {{"127.0.0.1", free_port()},
+                                              {"127.0.0.1", free_port()}};
   ChaosTransport sender(std::make_unique<TcpTransport>(endpoints), 2, 5);
   TcpTransport receiver(endpoints);
   Inbox rx0;

@@ -13,6 +13,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -20,13 +21,13 @@
 #include <vector>
 
 #include "m2/cluster.hpp"
+#include "m2/runtime_config.hpp"
 #include "m2paxos/messages.hpp"
 #include "net/codec.hpp"
 #include "net/serde.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/inbox.hpp"
 #include "runtime/runtime.hpp"
-#include "runtime/spec.hpp"
 #include "runtime/tcp_transport.hpp"
 #include "runtime/timer_wheel.hpp"
 
@@ -282,28 +283,12 @@ TEST(RuntimeLoopback, MultiPaxosTotalOrderThroughFollowerRestart) {
 
 // --------------------------------------------------------------- tcp
 
-/// Reserves a free TCP port: bind :0, read it back, close. The tiny race
-/// between close and the listener's re-bind is acceptable for tests.
-std::uint16_t free_port() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  socklen_t len = sizeof(addr);
-  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  ::close(fd);
-  return ntohs(addr.sin_port);
-}
-
 TEST(RuntimeTcp, ThreeProcessesWorthOfNodesOverRealSockets) {
   // Three Runtime instances, each serving one node with its own
   // TcpTransport — every protocol message crosses a real socket, exactly
   // as three m2node processes would (minus fork/exec).
   constexpr int kNodes = 3;
-  std::vector<Endpoint> endpoints;
+  std::vector<core::NodeAddress> endpoints;
   for (int i = 0; i < kNodes; ++i)
     endpoints.push_back({"127.0.0.1", free_port()});
 
@@ -406,7 +391,7 @@ net::PayloadPtr make_accept(std::uint64_t req_id) {
 /// Two TcpTransport instances over real localhost sockets: node 0 lives in
 /// `sender`, node 1 in `receiver` — the minimal cross-process shape.
 struct WirePair {
-  explicit WirePair(TransportOptions sender_options = {})
+  explicit WirePair(core::TransportOptions sender_options = {})
       : endpoints{{"127.0.0.1", free_port()}, {"127.0.0.1", free_port()}},
         sender(endpoints, sender_options),
         receiver(endpoints) {
@@ -432,7 +417,7 @@ struct WirePair {
   }
 
   MonotonicClock clock;
-  std::vector<Endpoint> endpoints;
+  std::vector<core::NodeAddress> endpoints;
   TcpTransport sender;
   TcpTransport receiver;
   Inbox rx0;
@@ -479,7 +464,7 @@ TEST(TcpWirePath, PerProducerFifoSurvivesConcurrentSendersAndCoalescing) {
 }
 
 TEST(TcpWirePath, QueueCapDropsAndCountsInsteadOfBufferingUnbounded) {
-  TransportOptions tiny;
+  core::TransportOptions tiny;
   tiny.max_queue_bytes = 256;  // room for a frame or two, not a burst
   WirePair wire(tiny);
 
@@ -498,8 +483,8 @@ TEST(TcpWirePath, QueueCapDropsAndCountsInsteadOfBufferingUnbounded) {
 }
 
 TEST(TcpWirePath, ReconnectsAndDeliversAfterPeerRestart) {
-  std::vector<Endpoint> endpoints = {{"127.0.0.1", free_port()},
-                                     {"127.0.0.1", free_port()}};
+  std::vector<core::NodeAddress> endpoints = {{"127.0.0.1", free_port()},
+                                              {"127.0.0.1", free_port()}};
   MonotonicClock clock;
   TcpTransport sender(endpoints);
   Inbox rx0;
@@ -553,8 +538,8 @@ TEST(TcpWirePath, ReconnectsAndDeliversAfterPeerRestart) {
 }
 
 TEST(TcpWirePath, CorruptFrameIsCountedDroppedAndNeverDelivered) {
-  std::vector<Endpoint> endpoints = {{"127.0.0.1", free_port()},
-                                     {"127.0.0.1", free_port()}};
+  std::vector<core::NodeAddress> endpoints = {{"127.0.0.1", free_port()},
+                                              {"127.0.0.1", free_port()}};
   TcpTransport receiver(endpoints);
   Inbox rx1;
   receiver.attach(1, &rx1);
@@ -617,8 +602,8 @@ TEST(TcpWirePath, CorruptFrameIsCountedDroppedAndNeverDelivered) {
 }
 
 TEST(TcpWirePath, FrameWithBytesPastItsMessagesIsCountedAndDropped) {
-  std::vector<Endpoint> endpoints = {{"127.0.0.1", free_port()},
-                                     {"127.0.0.1", free_port()}};
+  std::vector<core::NodeAddress> endpoints = {{"127.0.0.1", free_port()},
+                                              {"127.0.0.1", free_port()}};
   TcpTransport receiver(endpoints);
   Inbox rx1;
   receiver.attach(1, &rx1);
@@ -677,48 +662,88 @@ TEST(ClusterSpec, ParsesFullDocument) {
     "batching": {"enabled": true, "max_commands": 8, "window_us": 100},
     "transport": {"max_coalesce_bytes": 65536, "max_queue_bytes": 1048576}
   })";
-  ClusterSpec spec;
+  m2::Config cfg;
   std::string error;
-  ASSERT_TRUE(ClusterSpec::parse(text, &spec, &error)) << error;
-  EXPECT_EQ(spec.runtime.protocol, core::Protocol::kMultiPaxos);
-  EXPECT_EQ(spec.runtime.seed, 9u);
-  EXPECT_EQ(spec.runtime.cluster.n_nodes, 3);
-  EXPECT_TRUE(spec.runtime.enable_failure_detector);
-  ASSERT_EQ(spec.endpoints.size(), 3u);
-  EXPECT_EQ(spec.endpoints[1].host, "10.0.0.2");
-  EXPECT_EQ(spec.endpoints[1].port, 7102);
-  EXPECT_EQ(spec.objects_per_node, 64u);
-  EXPECT_TRUE(spec.runtime.cluster.batching.enabled);
-  EXPECT_EQ(spec.runtime.cluster.batching.batch_max_commands, 8u);
-  EXPECT_EQ(spec.runtime.cluster.batching.batch_window,
-            100 * core::kMicrosecond);
-  EXPECT_EQ(spec.transport.max_coalesce_bytes, 65536u);
-  EXPECT_EQ(spec.transport.max_queue_bytes, 1048576u);
+  ASSERT_TRUE(m2::Config::parse(text, &cfg, &error)) << error;
+  EXPECT_EQ(cfg.protocol, core::Protocol::kMultiPaxos);
+  EXPECT_EQ(cfg.backend, core::Backend::kTcp);
+  EXPECT_EQ(cfg.seed, 9u);
+  EXPECT_TRUE(cfg.enable_failure_detector);
+  ASSERT_EQ(cfg.addresses.size(), 3u);
+  EXPECT_EQ(cfg.addresses[1].host, "10.0.0.2");
+  EXPECT_EQ(cfg.addresses[1].port, 7102);
+  EXPECT_EQ(cfg.local_nodes, (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(cfg.objects_per_node, 64u);
+  EXPECT_TRUE(cfg.tuning.batching.enabled);
+  EXPECT_EQ(cfg.tuning.batching.batch_max_commands, 8u);
+  EXPECT_EQ(cfg.tuning.batching.batch_window, 100 * core::kMicrosecond);
+  EXPECT_EQ(cfg.transport.max_coalesce_bytes, 65536u);
+  EXPECT_EQ(cfg.transport.max_queue_bytes, 1048576u);
+
+  const RuntimeConfig rt = m2::to_runtime_config(cfg);
+  EXPECT_EQ(rt.protocol, core::Protocol::kMultiPaxos);
+  EXPECT_EQ(rt.seed, 9u);
+  EXPECT_EQ(rt.cluster.n_nodes, 3);
+  EXPECT_TRUE(rt.enable_failure_detector);
+  EXPECT_TRUE(rt.cluster.batching.enabled);
+  EXPECT_EQ(rt.owner_map.owner(63), 0u);
+  EXPECT_EQ(rt.owner_map.owner(64), 1u);
+  EXPECT_EQ(rt.owner_map.owner(128), 2u);
+}
+
+TEST(ClusterSpec, WithoutObjectsPerNodeOwnershipIsModuloN) {
+  m2::Config cfg;
+  std::string error;
+  ASSERT_TRUE(m2::Config::parse(
+      R"({"nodes": [{"host": "a", "port": 1}, {"host": "b", "port": 2},
+                    {"host": "c", "port": 3}]})",
+      &cfg, &error))
+      << error;
+  EXPECT_EQ(cfg.objects_per_node, 0u);
+  const RuntimeConfig rt = m2::to_runtime_config(cfg);
+  EXPECT_EQ(rt.cluster.n_nodes, 3);
+  for (core::ObjectId o = 0; o < 12; ++o)
+    EXPECT_EQ(rt.owner_map.owner(o), static_cast<NodeId>(o % 3)) << o;
 }
 
 TEST(ClusterSpec, RejectsMalformedDocuments) {
-  ClusterSpec spec;
+  m2::Config cfg;
   std::string error;
-  EXPECT_FALSE(ClusterSpec::parse("not json", &spec, &error));
-  EXPECT_FALSE(ClusterSpec::parse("{}", &spec, &error));  // no nodes
-  EXPECT_FALSE(ClusterSpec::parse(
-      R"({"nodes": [{"host": "a", "port": 1}], "typo_key": 1})", &spec,
+  EXPECT_FALSE(m2::Config::parse("not json", &cfg, &error));
+  EXPECT_FALSE(m2::Config::parse("{}", &cfg, &error));  // no nodes
+  EXPECT_FALSE(m2::Config::parse(
+      R"({"nodes": [{"host": "a", "port": 1}], "typo_key": 1})", &cfg,
       &error));
-  EXPECT_NE(error.find("typo_key"), std::string::npos);
-  EXPECT_FALSE(ClusterSpec::parse(
-      R"({"protocol": "raft", "nodes": [{"host": "a", "port": 1}]})", &spec,
+  EXPECT_NE(error.find("unknown key \"typo_key\""), std::string::npos);
+  EXPECT_FALSE(m2::Config::parse(
+      R"({"protocol": "raft", "nodes": [{"host": "a", "port": 1}]})", &cfg,
       &error));
-  EXPECT_FALSE(ClusterSpec::parse(
-      R"({"nodes": [{"host": "a", "port": 99999}]})", &spec, &error));
+  EXPECT_FALSE(m2::Config::parse(
+      R"({"nodes": [{"host": "a", "port": 99999}]})", &cfg, &error));
   // Transport knobs: unknown keys and zero limits fail loudly.
-  EXPECT_FALSE(ClusterSpec::parse(
+  EXPECT_FALSE(m2::Config::parse(
       R"({"nodes": [{"host": "a", "port": 1}],
           "transport": {"coalesce": 1}})",
-      &spec, &error));
-  EXPECT_FALSE(ClusterSpec::parse(
+      &cfg, &error));
+  EXPECT_FALSE(m2::Config::parse(
       R"({"nodes": [{"host": "a", "port": 1}],
           "transport": {"max_queue_bytes": 0}})",
-      &spec, &error));
+      &cfg, &error));
+}
+
+TEST(ProtocolNames, ParseRoundTripsEveryNameInAnyCase) {
+  for (const core::Protocol p : core::kProtocols) {
+    const std::string name = core::to_string(p);
+    EXPECT_EQ(core::parse_protocol(name), p) << name;
+    EXPECT_EQ(core::parse_protocol(core::lower_name(p)), p) << name;
+    std::string upper = name;
+    for (char& c : upper) c = static_cast<char>(std::toupper(c));
+    EXPECT_EQ(core::parse_protocol(upper), p) << upper;
+  }
+  EXPECT_EQ(core::lower_name(core::Protocol::kM2Paxos), "m2paxos");
+  EXPECT_EQ(core::parse_protocol("raft"), std::nullopt);
+  EXPECT_EQ(core::parse_protocol("m2paxo"), std::nullopt);
+  EXPECT_EQ(core::parse_protocol(""), std::nullopt);
 }
 
 // ---------------------------------------------------------------- facade

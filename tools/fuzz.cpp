@@ -18,7 +18,6 @@
 //   m2fuzz --protocol m2paxos --seeds 17..17 --keep 2,5   # replay a shrink
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -68,9 +67,7 @@ struct BackendDefaults {
 
 BackendDefaults defaults_for(core::Backend backend) {
   if (backend == core::Backend::kSim)
-    return {{core::Protocol::kMultiPaxos, core::Protocol::kGenPaxos,
-             core::Protocol::kEPaxos, core::Protocol::kM2Paxos},
-            50, 300, 200};
+    return {{core::kProtocols.begin(), core::kProtocols.end()}, 50, 300, 200};
   return {{core::Protocol::kM2Paxos, core::Protocol::kMultiPaxos}, 20, 400,
           24};
 }
@@ -118,12 +115,13 @@ std::vector<std::string> split(const std::string& s) {
 }
 
 bool parse_protocols(const std::string& s, std::vector<core::Protocol>& out) {
-  if (s == "multipaxos") out = {core::Protocol::kMultiPaxos};
-  else if (s == "genpaxos") out = {core::Protocol::kGenPaxos};
-  else if (s == "epaxos") out = {core::Protocol::kEPaxos};
-  else if (s == "m2paxos") out = {core::Protocol::kM2Paxos};
-  else if (s == "all") out = defaults_for(core::Backend::kSim).protocols;
-  else return false;
+  if (s == "all") {
+    out = defaults_for(core::Backend::kSim).protocols;
+  } else if (const auto p = core::parse_protocol(s)) {
+    out = {*p};
+  } else {
+    return false;
+  }
   return true;
 }
 
@@ -232,22 +230,13 @@ std::string episode_list(const std::vector<int>& episodes) {
   return out;
 }
 
-/// Protocol name in the exact spelling the --protocol flag accepts (the
-/// display names from core::to_string are capitalized).
-std::string flag_name(core::Protocol protocol) {
-  std::string name = core::to_string(protocol);
-  std::transform(name.begin(), name.end(), name.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return name;
-}
-
 /// A command line that replays `c`, restricted to `keep` when given: every
 /// field of the case that shapes the run is spelled out, defaults included.
 std::string repro_command(const char* argv0, const fuzz::Case& c,
                           const std::optional<std::vector<int>>& keep) {
   std::string cmd = argv0;
   cmd += " --backend " + core::to_string(c.backend);
-  cmd += " --protocol " + flag_name(c.protocol);
+  cmd += " --protocol " + core::lower_name(c.protocol);
   cmd += " --nodes " + std::to_string(c.n_nodes);
   cmd += " --seeds " + std::to_string(c.seed) + ".." + std::to_string(c.seed);
   cmd += " --intensity " + std::to_string(c.intensity);

@@ -71,15 +71,6 @@ struct Options {
   std::exit(2);
 }
 
-bool parse_protocol(const std::string& s, core::Protocol& out) {
-  if (s == "multipaxos") out = core::Protocol::kMultiPaxos;
-  else if (s == "genpaxos") out = core::Protocol::kGenPaxos;
-  else if (s == "epaxos") out = core::Protocol::kEPaxos;
-  else if (s == "m2paxos") out = core::Protocol::kM2Paxos;
-  else return false;
-  return true;
-}
-
 Options parse(int argc, char** argv) {
   Options opt;
   auto need_value = [&](int& i) -> const char* {
@@ -89,7 +80,9 @@ Options parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--protocol") {
-      if (!parse_protocol(need_value(i), opt.protocol)) usage(argv[0]);
+      const auto p = core::parse_protocol(need_value(i));
+      if (!p) usage(argv[0]);
+      opt.protocol = *p;
     } else if (flag == "--nodes") {
       opt.nodes = std::atoi(need_value(i));
     } else if (flag == "--cores") {

@@ -2,7 +2,7 @@
 // real-transport runtime.
 //
 // Serve mode: run this process' share of a TCP cluster described by a JSON
-// spec (see runtime/spec.hpp). Every participating process gets the same
+// spec (see m2::Config::parse). Every participating process gets the same
 // spec and serves its own node id(s):
 //
 //   m2node --spec cluster.json --node 0 [--load 64] [--duration-ms 5000]
@@ -22,8 +22,7 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/runtime.hpp"
-#include "runtime/spec.hpp"
+#include "m2/runtime_config.hpp"
 #include "runtime/tcp_transport.hpp"
 #include "stats/export.hpp"
 
@@ -107,10 +106,12 @@ bool parse_args(int argc, char** argv, Options* opt) {
       opt->loopback = true;
     } else if (flag == "--protocol") {
       if ((v = need(i)) == nullptr) return false;
-      if (!runtime::parse_protocol(v, &opt->protocol)) {
+      const auto p = core::parse_protocol(v);
+      if (!p) {
         std::fprintf(stderr, "unknown protocol %s\n", v);
         return false;
       }
+      opt->protocol = *p;
     } else if (flag == "--nodes") {
       if ((v = need(i)) == nullptr) return false;
       opt->nodes = std::atoi(v);
@@ -208,15 +209,16 @@ stats::Json bench_results(const runtime::Runtime& rt, double seconds,
 }
 
 int run_loopback_bench(const Options& opt) {
-  runtime::RuntimeConfig cfg;
+  Config cfg;
   cfg.protocol = opt.protocol;
-  cfg.cluster.n_nodes = opt.nodes;
-  cfg.cluster.batching.enabled = opt.batching;
+  cfg.backend = Backend::kLoopback;
+  cfg.nodes = opt.nodes;
+  cfg.objects_per_node = opt.objects;
+  cfg.tuning.batching.enabled = opt.batching;
   cfg.seed = opt.seed;
   cfg.audit = opt.audit;
-  cfg.owner_map = core::OwnerMap::divide(opt.objects);
 
-  runtime::Runtime rt(cfg);
+  runtime::Runtime rt(to_runtime_config(cfg));
   std::string error;
   if (!rt.start(&error)) {
     std::fprintf(stderr, "start failed: %s\n", error.c_str());
@@ -247,7 +249,7 @@ int run_loopback_bench(const Options& opt) {
       seconds > 0 ? static_cast<double>(committed) / seconds : 0.0;
   std::printf("%s x%d loopback: %.0f committed/sec (%llu in %.2fs), "
               "median %.0f us\n",
-              runtime::spec_protocol_name(opt.protocol).c_str(), opt.nodes,
+              core::lower_name(opt.protocol).c_str(), opt.nodes,
               throughput, static_cast<unsigned long long>(committed),
               seconds,
               static_cast<double>(rt.commit_latency().median()) / 1000.0);
@@ -261,7 +263,7 @@ int run_loopback_bench(const Options& opt) {
 
   if (!opt.json_path.empty()) {
     stats::Json doc = stats::make_bench_doc("m2node_loopback", false);
-    doc.set("protocol", runtime::spec_protocol_name(opt.protocol));
+    doc.set("protocol", core::lower_name(opt.protocol));
     doc.set("nodes", opt.nodes);
     doc.set("batching", opt.batching);
     doc.set("seed", opt.seed);
@@ -282,9 +284,9 @@ int run_loopback_bench(const Options& opt) {
 }
 
 int run_serve(const Options& opt) {
-  runtime::ClusterSpec spec;
+  Config cfg;
   std::string error;
-  if (!runtime::ClusterSpec::load(opt.spec_path, &spec, &error)) {
+  if (!Config::load(opt.spec_path, &cfg, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
@@ -293,26 +295,27 @@ int run_serve(const Options& opt) {
     return 1;
   }
   for (const NodeId n : opt.local_nodes) {
-    if (n >= spec.endpoints.size()) {
+    if (n >= cfg.addresses.size()) {
       std::fprintf(stderr, "--node %u out of range (cluster has %zu)\n", n,
-                   spec.endpoints.size());
+                   cfg.addresses.size());
       return 1;
     }
   }
 
-  spec.runtime.seed = opt.seed != 1 ? opt.seed : spec.runtime.seed;
-  spec.runtime.audit = opt.audit;
-  runtime::Runtime rt(spec.runtime,
-                      std::make_unique<runtime::TcpTransport>(spec.endpoints,
-                                                              spec.transport),
-                      opt.local_nodes);
+  cfg.local_nodes = opt.local_nodes;
+  cfg.seed = opt.seed != 1 ? opt.seed : cfg.seed;
+  cfg.audit = opt.audit;
+  runtime::Runtime rt(to_runtime_config(cfg),
+                      std::make_unique<runtime::TcpTransport>(cfg.addresses,
+                                                              cfg.transport),
+                      cfg.local_nodes);
   if (!rt.start(&error)) {
     std::fprintf(stderr, "start failed: %s\n", error.c_str());
     return 1;
   }
-  for (const NodeId n : opt.local_nodes)
+  for (const NodeId n : cfg.local_nodes)
     std::printf("serving node %u on %s:%u\n", n,
-                spec.endpoints[n].host.c_str(), spec.endpoints[n].port);
+                cfg.addresses[n].host.c_str(), cfg.addresses[n].port);
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
@@ -323,9 +326,8 @@ int run_serve(const Options& opt) {
                           : core::kTimeNever;
   std::uint64_t proposed = 0;
   if (opt.load_inflight > 0) {
-    drive(rt, opt.local_nodes, spec.objects_per_node > 0
-                                   ? spec.objects_per_node
-                                   : 1024,
+    drive(rt, cfg.local_nodes,
+          cfg.objects_per_node > 0 ? cfg.objects_per_node : 1024,
           opt.load_inflight, deadline, &proposed, 0);
   } else {
     // Passive replica: participate until the deadline or a signal.
@@ -342,8 +344,8 @@ int run_serve(const Options& opt) {
               static_cast<unsigned long long>(committed));
   if (!opt.json_path.empty()) {
     stats::Json doc = stats::make_bench_doc("m2node_serve", false);
-    doc.set("protocol", runtime::spec_protocol_name(spec.runtime.protocol));
-    doc.set("nodes", static_cast<int>(spec.endpoints.size()));
+    doc.set("protocol", core::lower_name(cfg.protocol));
+    doc.set("nodes", rt.n_nodes());
     doc.set("results", bench_results(rt, seconds, committed, proposed));
     doc.set("metrics", stats::export_registry(rt.merged_metrics()));
     if (!stats::write_json_file(opt.json_path, doc)) {
