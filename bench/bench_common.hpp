@@ -13,7 +13,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "harness/experiment.hpp"
@@ -37,52 +36,6 @@ class WallTimer {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Minimal JSON emitter for bench result files (BENCH_*.json). Flat or
-/// one-level-nested objects of numbers/strings are all the benches need;
-/// nothing here escapes exotic strings, so keep keys and values simple.
-class JsonWriter {
- public:
-  void number(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", value);
-    fields_.emplace_back(key, buf);
-  }
-  void integer(const std::string& key, std::uint64_t value) {
-    fields_.emplace_back(key, std::to_string(value));
-  }
-  void string(const std::string& key, const std::string& value) {
-    fields_.emplace_back(key, "\"" + value + "\"");
-  }
-  void object(const std::string& key, const JsonWriter& nested) {
-    fields_.emplace_back(key, nested.str());
-  }
-
-  std::string str() const {
-    std::string out = "{";
-    for (std::size_t i = 0; i < fields_.size(); ++i) {
-      if (i) out += ", ";
-      out += "\"" + fields_[i].first + "\": " + fields_[i].second;
-    }
-    return out + "}";
-  }
-
-  /// Writes the document to `path`; returns false (and warns) on failure.
-  bool write_file(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return false;
-    }
-    const std::string doc = str() + "\n";
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    return true;
-  }
-
- private:
-  std::vector<std::pair<std::string, std::string>> fields_;
 };
 
 inline bool quick_mode() {
@@ -125,9 +78,6 @@ inline std::vector<int> saturation_levels(int n = 0) {
 }
 
 inline std::string fmt_kcps(double v) { return harness::Table::kcps(v); }
-inline std::string fmt_ms(double ns) {
-  return harness::Table::num(ns / 1e6, 2) + "ms";
-}
 inline std::string fmt_us(double ns) {
   return harness::Table::num(ns / 1e3, 0) + "us";
 }

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "harness/cluster.hpp"
-#include "m2paxos/m2paxos.hpp"
 #include "sim/rng.hpp"
 #include "workload/synthetic.hpp"
 
@@ -105,15 +104,17 @@ int main() {
       ok = false;
   }
 
-  const auto& m2 = cluster.replica_as<m2p::M2PaxosReplica>(0);
+  const stats::MetricsRegistry& node0 = *cluster.node_metrics(0);
   std::printf("transfers committed  : %llu (%d intra-branch, %d inter-branch)\n",
               static_cast<unsigned long long>(cluster.committed_count()), intra,
               inter);
   std::printf("money conserved      : %s (total %ld on every replica)\n",
               ok ? "yes" : "NO", ledgers[0].total());
   std::printf("node0 fast decisions : %llu, acquisitions: %llu\n",
-              static_cast<unsigned long long>(m2.counters().fast_path_rounds),
-              static_cast<unsigned long long>(m2.counters().acquisitions));
+              static_cast<unsigned long long>(
+                  node0.counter(stats::Counter::kFastPathRounds)),
+              static_cast<unsigned long long>(
+                  node0.counter(stats::Counter::kAcquisitions)));
   std::printf("median commit latency: %.0f us\n",
               static_cast<double>(cluster.latency().median()) / 1000.0);
   return ok ? 0 : 1;

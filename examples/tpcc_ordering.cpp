@@ -9,7 +9,6 @@
 #include <map>
 
 #include "harness/experiment.hpp"
-#include "m2paxos/m2paxos.hpp"
 #include "workload/tpcc.hpp"
 
 using namespace m2;
@@ -30,8 +29,7 @@ int main() {
   cfg.load.clients_per_node = 32;
   cfg.load.max_inflight_per_node = 32;
 
-  harness::Cluster cluster(cfg, workload);
-  const auto result = cluster.run();
+  const auto result = harness::run_experiment(cfg, workload);
 
   std::printf("TPC-C ordering on %d nodes, %d warehouses\n", kNodes,
               workload.total_warehouses());
@@ -42,14 +40,10 @@ int main() {
               static_cast<double>(result.commit_latency.quantile(0.99)) / 1000.0);
   std::printf("  bytes per txn       : %.0f\n", result.bytes_per_command);
 
-  std::uint64_t fast = 0, fwd = 0, acq = 0;
-  for (int n = 0; n < kNodes; ++n) {
-    const auto& c =
-        cluster.replica_as<m2p::M2PaxosReplica>(static_cast<NodeId>(n)).counters();
-    fast += c.fast_path_rounds;
-    fwd += c.forwarded;
-    acq += c.acquisitions;
-  }
+  const auto& m = result.metrics;
+  const std::uint64_t fast = m.counter(stats::Counter::kFastPathRounds);
+  const std::uint64_t fwd = m.counter(stats::Counter::kForwarded);
+  const std::uint64_t acq = m.counter(stats::Counter::kAcquisitions);
   const double total = static_cast<double>(fast + fwd + acq);
   std::printf("  M2Paxos paths       : %.1f%% fast, %.1f%% forwarded, %.1f%% acquisition\n",
               100.0 * static_cast<double>(fast) / total,

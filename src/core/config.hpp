@@ -12,30 +12,30 @@
 
 namespace m2::core {
 
-/// CPU service-time model for protocol message processing.
-///
-/// Receiving or sending a message costs `fixed + per_byte * size`. The
-/// fixed part approximates syscall + dispatch + handler; the per-byte part
-/// approximates copying/marshalling. These costs feed the per-node k-core
-/// queueing model (sim::NodeCpu), which is what produces saturation
-/// (throughput ceilings) in the benchmarks.
-struct CostModel {
-  Time rx_fixed = 1000;      // ns per received message
-  double rx_per_byte = 0.8;       // ns per received byte
-  Time tx_fixed = 400;       // ns per sent message
-  double tx_per_byte = 0.4;       // ns per sent byte
+// CPU service-time model for protocol message processing.
+//
+// Receiving or sending a message costs `fixed + per_byte * size`. The
+// fixed part approximates syscall + dispatch + handler; the per-byte part
+// approximates copying/marshalling. These costs feed the per-node k-core
+// queueing model (sim::NodeCpu), which is what produces saturation
+// (throughput ceilings) in the benchmarks. The threaded runtime ignores
+// them: real handling cost is real.
+inline constexpr Time kRxFixed = 1000;     // ns per received message
+inline constexpr double kRxPerByte = 0.8;  // ns per received byte
+inline constexpr Time kTxFixed = 400;      // ns per sent message
+inline constexpr double kTxPerByte = 0.4;  // ns per sent byte
 
-  /// Extra serial cost charged by protocol serialization points (e.g. a
-  /// Multi-Paxos leader's ordering thread, EPaxos' dependency-graph lock).
-  Time serial_fixed = 900;   // ns per serialized handling step
+/// Extra serial cost charged by protocol serialization points (e.g. a
+/// Multi-Paxos leader's ordering thread, EPaxos' dependency-graph lock):
+/// ns per serialized handling step.
+inline constexpr Time kSerialFixed = 900;
 
-  Time rx_cost(std::size_t bytes) const {
-    return rx_fixed + static_cast<Time>(rx_per_byte * static_cast<double>(bytes));
-  }
-  Time tx_cost(std::size_t bytes) const {
-    return tx_fixed + static_cast<Time>(tx_per_byte * static_cast<double>(bytes));
-  }
-};
+constexpr Time rx_cost(std::size_t bytes) {
+  return kRxFixed + static_cast<Time>(kRxPerByte * static_cast<double>(bytes));
+}
+constexpr Time tx_cost(std::size_t bytes) {
+  return kTxFixed + static_cast<Time>(kTxPerByte * static_cast<double>(bytes));
+}
 
 /// Cap on the randomized backoff between M²Paxos ownership-acquisition
 /// retries, and the Multi-Paxos leader's retry delay for a stalled Prepare
@@ -46,7 +46,6 @@ inline constexpr Time kRetryBackoffMax = 4 * kMillisecond;
 struct ClusterConfig {
   int n_nodes = 3;
   int cores_per_node = 16;  // paper's default machine: c3.4xlarge, 16 cores
-  CostModel cost;
 
   /// Timeout after which a node that forwarded a command to an owner (or to
   /// the leader) takes over and re-proposes (Algorithm 1 line 13).
@@ -98,9 +97,9 @@ struct ClusterConfig {
   Batching batching;
 
   /// Observability kill switch. When disabled the harness creates no
-  /// MetricsRegistry, Context::metrics() stays nullptr, and every
-  /// instrumentation helper reduces to one pointer test. (A compile-time
-  /// switch, -DM2_DISABLE_METRICS, removes even that branch.)
+  /// MetricsRegistry, Context::metrics() stays nullptr, every
+  /// instrumentation helper reduces to one pointer test, and every protocol
+  /// count reads 0.
   struct Metrics {
     bool enabled = true;
   };

@@ -31,11 +31,7 @@ struct RxCost {
 class Replica {
  public:
   Replica(NodeId id, const ClusterConfig& cfg, Context& ctx)
-      : id_(id), cfg_(cfg), ctx_(ctx) {
-#ifndef M2_DISABLE_METRICS
-    metrics_ = ctx.metrics();
-#endif
-  }
+      : id_(id), cfg_(cfg), ctx_(ctx), metrics_(ctx.metrics()) {}
   virtual ~Replica() = default;
 
   Replica(const Replica&) = delete;
@@ -63,17 +59,9 @@ class Replica {
   const Context& ctx() const { return ctx_; }
 
   // --- instrumentation helpers -------------------------------------------
-  // No-ops when the registry is absent (runtime kill switch); compiled to
-  // nothing under -DM2_DISABLE_METRICS. Hot-path safe: inc/set/record on a
-  // live registry touch fixed arrays only and never allocate.
-#ifdef M2_DISABLE_METRICS
-  void m_inc(stats::Counter, std::uint64_t = 1) {}
-  void m_set(stats::Gauge, std::int64_t) {}
-  void m_record(stats::Histo, std::int64_t) {}
-  void m_span_commit(stats::Path, Time) {}
-  void m_span_deliver(stats::Path, Time) {}
-  static constexpr bool metrics_on() { return false; }
-#else
+  // No-ops when the registry is absent (the ClusterConfig::Metrics kill
+  // switch). Hot-path safe: inc/set/record on a live registry touch fixed
+  // arrays only and never allocate.
   void m_inc(stats::Counter c, std::uint64_t by = 1) {
     if (metrics_ != nullptr) metrics_->inc(c, by);
   }
@@ -95,13 +83,11 @@ class Replica {
     if (metrics_ != nullptr && proposed_at >= 0)
       metrics_->record(stats::deliver_histo(p), ctx_.now() - proposed_at);
   }
-  bool metrics_on() const { return metrics_ != nullptr; }
-#endif
 
   NodeId id_;
   ClusterConfig cfg_;
   Context& ctx_;
-  stats::MetricsRegistry* metrics_ = nullptr;
+  stats::MetricsRegistry* metrics_;
 };
 
 }  // namespace m2::core

@@ -26,7 +26,7 @@ void EPaxosReplica::on_crash() { crashed_ = true; }
 void EPaxosReplica::on_recover() { crashed_ = false; }
 
 core::RxCost EPaxosReplica::rx_cost(const net::Payload& payload) const {
-  const sim::Time parallel = cfg_.cost.rx_cost(payload.wire_size());
+  const sim::Time parallel = core::rx_cost(payload.wire_size());
   // Interference-table updates and dependency-graph execution touch state
   // shared by all worker threads; EPaxos pays a serialization point per
   // message plus work proportional to the dependency list (paper §VI-A:
@@ -38,15 +38,15 @@ core::RxCost EPaxosReplica::rx_cost(const net::Payload& payload) const {
   switch (k) {
     case net::kKindEPaxos + 1:  // interference-table update
       deps = static_cast<const PreAccept&>(payload).attrs.deps.size();
-      serial = cfg_.cost.serial_fixed;
+      serial = core::kSerialFixed;
       break;
     case net::kKindEPaxos + 2:  // leader-side attribute merge
       deps = static_cast<const PreAcceptReply&>(payload).attrs.deps.size();
-      serial = cfg_.cost.serial_fixed / 2;
+      serial = core::kSerialFixed / 2;
       break;
     case net::kKindEPaxos + 5:  // dependency-graph execution
       deps = static_cast<const CommitMsg&>(payload).attrs.deps.size();
-      serial = cfg_.cost.serial_fixed;
+      serial = core::kSerialFixed;
       break;
     default:
       break;
@@ -139,7 +139,6 @@ void EPaxosReplica::propose(const Command& c) {
     return;
   }
   auto msg = net::make_payload<PreAccept>(r, c, st.attrs);
-  counters_.dep_bytes_sent += 8 * st.attrs.deps.size() * peers.size();
   m_inc(stats::Counter::kDepBytesSent,
         8 * st.attrs.deps.size() * peers.size());
   for (NodeId p : peers) ctx_.send(p, msg);
@@ -158,7 +157,6 @@ void EPaxosReplica::handle_preaccept(NodeId from, const PreAccept& msg) {
   reply->acceptor = id_;
   reply->changed = changed;
   reply->attrs = st.attrs;
-  counters_.dep_bytes_sent += 8 * st.attrs.deps.size();
   m_inc(stats::Counter::kDepBytesSent, 8 * st.attrs.deps.size());
   ctx_.send(from, std::move(reply));
 }
@@ -190,7 +188,6 @@ void EPaxosReplica::handle_preaccept_reply(const PreAcceptReply& msg) {
     // prune it from instances_, invalidating st.
     const core::Command cmd = st.cmd;
     const Attrs attrs = st.attrs;
-    ++counters_.fast_commits;
     m_inc(stats::Counter::kFastPathRounds);
     commit(msg.inst, cmd, attrs);
     ctx_.broadcast(net::make_payload<CommitMsg>(msg.inst, cmd, attrs), false);
@@ -201,8 +198,6 @@ void EPaxosReplica::handle_preaccept_reply(const PreAcceptReply& msg) {
     st.attrs = st.merged;
     st.path = stats::Path::kSlow;
     st.accept_repliers.clear();
-    counters_.dep_bytes_sent +=
-        8 * st.attrs.deps.size() * static_cast<std::size_t>(cfg_.n_nodes - 1);
     m_inc(stats::Counter::kDepBytesSent,
           8 * st.attrs.deps.size() * static_cast<std::size_t>(cfg_.n_nodes - 1));
     ctx_.broadcast(net::make_payload<AcceptMsg>(msg.inst, st.cmd, st.attrs),
@@ -242,7 +237,7 @@ void EPaxosReplica::handle_accept_reply(const AcceptReply& msg) {
   // invalidating st (same hazard as the fast path above).
   const core::Command cmd = st.cmd;
   const Attrs attrs = st.attrs;
-  ++counters_.slow_commits;
+  m_inc(stats::Counter::kSlowCommits);
   commit(msg.inst, cmd, attrs);
   ctx_.broadcast(net::make_payload<CommitMsg>(msg.inst, cmd, attrs), false);
 }
@@ -307,7 +302,6 @@ void EPaxosReplica::try_execute(InstRef r) {
 
   ExecResult plan = plan_execution(g, r);
   if (plan.blocked) {
-    ++counters_.exec_blocked;
     m_inc(stats::Counter::kExecBlocked);
     auto& waiters = exec_waiters_[plan.blocked_on];
     if (std::find(waiters.begin(), waiters.end(), r) == waiters.end())
@@ -319,7 +313,6 @@ void EPaxosReplica::try_execute(InstRef r) {
     if (st.status == Status::kExecuted) continue;
     st.status = Status::kExecuted;
     ++delivered_count_;
-    ++counters_.delivered;
     m_inc(stats::Counter::kDelivered);
     m_span_deliver(st.path, st.proposed_at);
     ctx_.deliver(st.cmd);

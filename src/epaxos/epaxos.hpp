@@ -97,14 +97,6 @@ struct CommitMsg final : net::Message<CommitMsg, net::kKindEPaxos + 5> {
 // Replica
 // ---------------------------------------------------------------------
 
-struct EpCounters {
-  std::uint64_t fast_commits = 0;
-  std::uint64_t slow_commits = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t dep_bytes_sent = 0;  // dependency metadata volume
-  std::uint64_t exec_blocked = 0;    // execution deferrals on uncommitted deps
-};
-
 /// EPaxos [Moraru et al., SOSP'13] — the paper's strongest competitor.
 ///
 /// Every replica leads its own instance space. A command leader computes
@@ -128,7 +120,6 @@ class EPaxosReplica final : public core::Replica {
   void on_crash() override;
   void on_recover() override;
 
-  const EpCounters& counters() const { return counters_; }
  private:
   enum class Status : std::uint8_t {
     kNone,
@@ -193,7 +184,6 @@ class EPaxosReplica final : public core::Replica {
   std::uint64_t next_slot_ = 1;
   std::uint64_t delivered_count_ = 0;
   bool crashed_ = false;
-  EpCounters counters_;
 };
 
 }  // namespace m2::ep

@@ -19,14 +19,14 @@ void GenPaxosReplica::on_crash() {
 void GenPaxosReplica::on_recover() { crashed_ = false; }
 
 core::RxCost GenPaxosReplica::rx_cost(const net::Payload& payload) const {
-  const sim::Time parallel = cfg_.cost.rx_cost(payload.wire_size());
+  const sim::Time parallel = core::rx_cost(payload.wire_size());
   // The leader sequences every command and resolves every collision on a
   // single thread — the single-leader bottleneck the paper attributes to
   // Generalized Paxos.
   const std::uint32_t k = payload.kind();
   if (id_ == leader_ &&
       (k == net::kKindGenPaxos + 3 || k == net::kKindGenPaxos + 4)) {
-    return core::RxCost{cfg_.cost.serial_fixed, parallel};
+    return core::RxCost{core::kSerialFixed, parallel};
   }
   return core::RxCost{0, parallel};
 }
@@ -58,7 +58,6 @@ void GenPaxosReplica::arm_retry(CommandId id) {
   it->second.timer = ctx_.set_timer(delay, [this, id] {
     auto pit = pending_.find(id);
     if (pit == pending_.end()) return;
-    ++counters_.retries;
     m_inc(stats::Counter::kRetries);
     ++pit->second.attempts;
     // Retry through the leader: after a timeout assume collision (or a
@@ -99,13 +98,11 @@ void GenPaxosReplica::handle_fast_ack(const FastAck& msg) {
   if (static_cast<int>(pc.ackers.size()) < cfg_.fast_quorum()) return;
 
   if (pc.mismatch) {
-    ++counters_.collisions;
     m_inc(stats::Counter::kCollisions);
     pc.handed_to_leader = true;
     pc.path = stats::Path::kSlow;
     ctx_.send(leader_, net::make_payload<ResolveReq>(pc.cmd));
   } else {
-    ++counters_.fast_agreements;
     m_inc(stats::Counter::kFastPathRounds);
     pc.handed_to_leader = true;
     if (!pc.commit_reported) {
@@ -200,7 +197,7 @@ void GenPaxosReplica::leader_sequence(const Command& cmd) {
     recent_sequences_.erase(sequenced_fifo_.front());
     sequenced_fifo_.pop_front();
   }
-  ++counters_.sequenced;
+  m_inc(stats::Counter::kSequenced);
   const std::uint64_t index = next_index_++;
   recent_sequences_.emplace(cmd.id, std::make_pair(index, cmd));
   seq_log_.emplace(index, cmd);
@@ -243,7 +240,6 @@ void GenPaxosReplica::try_deliver() {
       delivered_ids_.erase(delivered_fifo_.front());
       delivered_fifo_.pop_front();
     }
-    ++counters_.delivered;
     m_inc(stats::Counter::kDelivered);
     auto pit = pending_.find(c.id);
     if (pit != pending_.end()) {

@@ -119,14 +119,6 @@ struct Sequence final : net::Message<Sequence, net::kKindGenPaxos + 7> {
 // Replica
 // ---------------------------------------------------------------------
 
-struct GpCounters {
-  std::uint64_t fast_agreements = 0;
-  std::uint64_t collisions = 0;
-  std::uint64_t sequenced = 0;  // leader only
-  std::uint64_t delivered = 0;
-  std::uint64_t retries = 0;
-};
-
 /// Generalized Paxos baseline [Lamport, MSR-TR-2005-33].
 ///
 /// Model (documented in DESIGN.md): proposers broadcast to acceptors and
@@ -153,7 +145,6 @@ class GenPaxosReplica final : public core::Replica {
   void on_crash() override;
   void on_recover() override;
 
-  const GpCounters& counters() const { return counters_; }
  private:
   struct PendingCommand {
     Command cmd;
@@ -216,7 +207,6 @@ class GenPaxosReplica final : public core::Replica {
   std::deque<CommandId> delivered_fifo_;
 
   bool crashed_ = false;
-  GpCounters counters_;
 };
 
 }  // namespace m2::gp

@@ -74,7 +74,7 @@ class NodeContext final : public core::Context {
     // sender's CPU without delaying the message (see DESIGN.md §5).
     // charge() — not submit() — so no event is queued for the no-op
     // completion.
-    cluster_.cpus_[id_]->charge(0, cluster_.cfg_.cluster.cost.tx_cost(bytes));
+    cluster_.cpus_[id_]->charge(0, core::tx_cost(bytes));
   }
 
   Cluster& cluster_;

@@ -116,7 +116,6 @@ bool M2PaxosReplica::send_sync_probe(NodeId peer) {
     if (entries.size() >= SyncRequest::kMaxEntries) break;
   }
   if (entries.empty()) return false;
-  ++counters_.sync_probes;
   m_inc(stats::Counter::kSyncProbes);
   ctx_.send(peer, pooled<SyncRequest>(std::move(entries)));
   return true;
@@ -154,7 +153,6 @@ void M2PaxosReplica::handle_sync_reply(NodeId from, const SyncReply& msg) {
     const Slot* have = st.log.find(s.instance);
     if (s.instance > st.last_appended &&
         (have == nullptr || !have->decided)) {
-      ++counters_.sync_slots_learned;
       m_inc(stats::Counter::kSyncSlotsLearned);
       learned = true;
       decide_slot(s.object, s.instance, s.cmd, s.batch);
@@ -182,7 +180,7 @@ core::RxCost M2PaxosReplica::rx_cost(const net::Payload& payload) const {
   // The distinguishing property of M²Paxos (paper §VI-A, Fig. 4): no
   // shared dependency metadata, so message handling is fully parallel
   // across cores. No serialization point.
-  return core::RxCost{0, cfg_.cost.rx_cost(payload.wire_size())};
+  return core::RxCost{0, core::rx_cost(payload.wire_size())};
 }
 
 void M2PaxosReplica::on_crash() {
@@ -251,7 +249,6 @@ void M2PaxosReplica::advance_frontier(ObjectState& st) {
   if (keep_from <= st.log.base()) return;
   const std::size_t before = st.log.size();
   st.log.truncate_below(keep_from);
-  counters_.gc_truncated_slots += before - st.log.size();
   m_inc(stats::Counter::kGcTruncatedSlots, before - st.log.size());
   m_record(stats::Histo::kSlotLogDepth,
            static_cast<std::int64_t>(st.log.size()));
@@ -343,7 +340,6 @@ void M2PaxosReplica::coordinate(core::CommandId id) {
       enqueue_batch(pc);
       return;
     }
-    ++counters_.fast_path_rounds;
     m_inc(stats::Counter::kFastPathRounds);
     start_fast_accept(pc, objects);
     return;
@@ -354,7 +350,6 @@ void M2PaxosReplica::coordinate(core::CommandId id) {
   // acquisitions (contending commands queue behind each other there
   // instead of NACKing each other's prepares forever).
   if (pc.attempts >= kAcquisitionFallbackAfter && id_ != 0) {
-    ++counters_.fallbacks;
     m_inc(stats::Counter::kFallbacks);
     pc.path = stats::Path::kSlow;
     ctx_.send(0, pooled<Propose>(*pc.cmd));
@@ -370,7 +365,6 @@ void M2PaxosReplica::coordinate(core::CommandId id) {
   // ownership itself (the paper's embedded recovery).
   const NodeId owner = rt.plurality_owner;
   if (owner != kNoNode && owner != id_ && pc.attempts < 3) {
-    ++counters_.forwarded;
     m_inc(stats::Counter::kForwarded);
     pc.path = stats::Path::kForwarded;
     ctx_.send(owner, pooled<Propose>(*pc.cmd));
@@ -429,7 +423,6 @@ void M2PaxosReplica::arm_watchdog(PendingCommand& pc) {
   pc.watchdog = ctx_.set_timer(delay, [this, id] {
     auto it = pending_.find(id);
     if (it == pending_.end()) return;
-    ++counters_.timeouts;
     m_inc(stats::Counter::kTimeouts);
     ++it->second.attempts;
     it->second.in_flight = false;  // abandon whatever round was stuck
@@ -587,7 +580,6 @@ bool M2PaxosReplica::send_batched_round() {
     SlotList slots;
     slots.reserve(open.size());
     for (auto& o : open) {
-      counters_.batched_commands += o.batch->cmds.size();
       m_inc(stats::Counter::kBatchedCommands, o.batch->cmds.size());
       m_record(stats::Histo::kBatchOccupancy,
                static_cast<std::int64_t>(o.batch->cmds.size()));
@@ -615,7 +607,6 @@ bool M2PaxosReplica::send_batched_round() {
         }
       }
     }
-    ++counters_.batched_rounds;
     m_inc(stats::Counter::kBatchedRounds);
     ++batch_inflight_;
     const std::uint64_t req = send_accept(core::CommandId{}, std::move(slots));
@@ -720,7 +711,6 @@ void M2PaxosReplica::handle_ack_accept(NodeId /*from*/, const AckAccept& msg) {
   AcceptRound& round = it->second;
 
   if (!msg.ack) {
-    ++counters_.accept_nacks;
     m_inc(stats::Counter::kAcceptNacks);
     apply_hints(msg.hints);
     const core::CommandId cmd = round.for_cmd;
@@ -828,7 +818,6 @@ void M2PaxosReplica::decide_slot(ObjectId l, Instance in,
   if (!OwnershipTable::set_decided(st, in, c, batch, cfg_.test_unsafe_epochs))
     return;
   ctx_.decided(l, in, *c);
-  ++counters_.decided_slots;
   m_inc(stats::Counter::kDecidedSlots);
   m_record(stats::Histo::kSlotLogDepth,
            static_cast<std::int64_t>(st.log.size()));
@@ -845,7 +834,6 @@ void M2PaxosReplica::deliver_command(const core::CommandPtr& c,
                                      ObjectState* hint) {
   delivered_ids_.insert(c->id);
   if (!c->noop) {
-    ++counters_.delivered;
     m_inc(stats::Counter::kDelivered);
   }
   // Advance the frontier of every object where c sits exactly at the
@@ -898,7 +886,6 @@ void M2PaxosReplica::deliver_batch_member(const core::CommandPtr& c) {
   // batch's slot frontier once after unrolling every member.
   delivered_ids_.insert(c->id);
   if (!c->noop) {
-    ++counters_.delivered;
     m_inc(stats::Counter::kDelivered);
   }
   auto pit = pending_.find(c->id);
@@ -1029,7 +1016,6 @@ bool M2PaxosReplica::resolve_crossings() {
   // alone, and stops at an undecided frontier, a delivered command (never
   // delivered twice) or a command already known to reach one: no member
   // of a sink SCC can reach any of those.
-  ++counters_.crossing_checks;
   m_inc(stats::Counter::kCrossingChecks);
 
   // The decided command at l's frontier, or null if the slot is undecided.
@@ -1079,7 +1065,6 @@ bool M2PaxosReplica::resolve_crossings() {
     const auto n = static_cast<std::uint32_t>(nodes.size());
     nodes.emplace((*c)->id, Node{n, n, Mark::kOnStack});
     stack.push_back(c);
-    ++counters_.crossing_heads_visited;
     m_inc(stats::Counter::kCrossingHeadsVisited);
     if (waits_on_blocker(**c)) {
       block_stack();
@@ -1152,7 +1137,6 @@ bool M2PaxosReplica::resolve_crossings() {
   });
   for (const auto& scc : sccs) {
     for (const core::CommandPtr& c : scc) deliver_command(c, nullptr);
-    counters_.crossing_delivered += scc.size();
     m_inc(stats::Counter::kCrossingDelivered, scc.size());
   }
   return true;
@@ -1186,7 +1170,6 @@ void M2PaxosReplica::start_acquisition(PendingCommand& pc,
     start_fast_accept(pc, objects);
     return;
   }
-  ++counters_.acquisitions;
   m_inc(stats::Counter::kAcquisitions);
   const std::uint64_t req = next_req_++;
   PrepareRound round;
@@ -1250,7 +1233,6 @@ void M2PaxosReplica::handle_ack_prepare(NodeId /*from*/, const AckPrepare& msg) 
   PrepareRound& round = it->second;
 
   if (!msg.ack) {
-    ++counters_.prepare_nacks;
     m_inc(stats::Counter::kPrepareNacks);
     apply_hints(msg.hints);
     const core::CommandId cmd = round.cmd->id;
@@ -1346,7 +1328,6 @@ void M2PaxosReplica::finish_acquisition(PrepareRound round) {
         }
       } else {
         slots.emplace_back(e.object, in, e.epoch, make_noop(e.object));
-        ++counters_.noops_filled;
         m_inc(stats::Counter::kNoopsFilled);
       }
     }
@@ -1393,7 +1374,6 @@ void M2PaxosReplica::retry_later(core::CommandId id) {
   PendingCommand& pc = it->second;
   pc.in_flight = false;
   ++pc.attempts;
-  ++counters_.retries;
   m_inc(stats::Counter::kRetries);
 
   const int shift = std::min(pc.attempts, 6);

@@ -24,31 +24,6 @@ namespace m2::m2p {
 /// per message, and covers the frontiers that moved since the last search.
 inline constexpr core::Time kCrossingCheckInterval = 2 * core::kMillisecond;
 
-/// Per-replica protocol statistics, used by tests and the ablation benches.
-struct M2Counters {
-  std::uint64_t fast_path_rounds = 0;   // accept started while owning all
-  std::uint64_t forwarded = 0;          // commands forwarded to a remote owner
-  std::uint64_t acquisitions = 0;       // Prepare rounds started
-  std::uint64_t accept_nacks = 0;       // accept rounds aborted by a NACK
-  std::uint64_t prepare_nacks = 0;      // prepare rounds aborted by a NACK
-  std::uint64_t retries = 0;            // re-coordinations after failure
-  std::uint64_t timeouts = 0;           // watchdog re-coordinations
-  std::uint64_t noops_filled = 0;       // recovery holes filled with no-ops
-  std::uint64_t decided_slots = 0;
-  std::uint64_t delivered = 0;          // non-noop commands appended locally
-  std::uint64_t sync_probes = 0;        // anti-entropy requests sent
-  std::uint64_t sync_slots_learned = 0; // decisions learned via sync
-  std::uint64_t fallbacks = 0;          // routed via the conflict leader
-  std::uint64_t gc_truncated_slots = 0; // slots dropped by frontier GC
-  std::uint64_t batched_rounds = 0;     // accept rounds sent by the batcher
-  std::uint64_t batched_commands = 0;   // commands those rounds carried
-
-  // Crossing resolution (DESIGN.md §5a #6).
-  std::uint64_t crossing_checks = 0;         // wait-cycle searches run
-  std::uint64_t crossing_heads_visited = 0;  // frontier commands searched
-  std::uint64_t crossing_delivered = 0;      // commands they delivered
-};
-
 /// M²Paxos replica: Generalized Consensus via per-object Multi-Paxos
 /// incarnations and object ownership (Algorithms 1-4 of the paper).
 ///
@@ -107,7 +82,6 @@ class M2PaxosReplica final : public core::Replica {
     table_.set_default_owner(map);
   }
 
-  const M2Counters& counters() const { return counters_; }
   const OwnershipTable& table() const { return table_; }
 
   /// Capacity provisioning: pre-extends the pooled-command freelist by
@@ -309,7 +283,6 @@ class M2PaxosReplica final : public core::Replica {
   core::TimerHandle sync_timer_ = core::kInvalidTimer;
   core::TimerHandle crossing_timer_ = core::kInvalidTimer;
   bool crashed_ = false;
-  M2Counters counters_;
 };
 
 }  // namespace m2::m2p

@@ -83,14 +83,14 @@ void MultiPaxosReplica::on_recover() {
 }
 
 core::RxCost MultiPaxosReplica::rx_cost(const net::Payload& payload) const {
-  const sim::Time parallel = cfg_.cost.rx_cost(payload.wire_size());
+  const sim::Time parallel = core::rx_cost(payload.wire_size());
   // The leader's ordering step (assigning log slots to proposals) is a
   // single thread. Phase-2 ack counting is per-slot and parallelizes, but
   // every message of every command still lands on the one leader — which
   // is the "single leader saturating its computational resources" of the
   // paper (§VI-A, Fig. 1 and Fig. 4).
   if (leader_ == id_ && payload.kind() == net::kKindMultiPaxos + 1) {
-    return core::RxCost{cfg_.cost.serial_fixed, parallel};
+    return core::RxCost{core::kSerialFixed, parallel};
   }
   return core::RxCost{0, parallel};
 }
@@ -125,7 +125,6 @@ void MultiPaxosReplica::arm_retry(const Command& c) {
   it->second.timer = ctx_.set_timer(delay, [this, id] {
     auto pit = pending_.find(id);
     if (pit == pending_.end()) return;
-    ++counters_.retries;
     m_inc(stats::Counter::kRetries);
     ++pit->second.attempts;
     if (fd_.is_suspected(leader_)) leader_ = fd_.leader();
@@ -140,7 +139,6 @@ void MultiPaxosReplica::handle_propose(const Command& c) {
   if (leader_ == id_ && !preparing_) {
     lead(c);
   } else if (leader_ != id_) {
-    ++counters_.proposals_forwarded;
     m_inc(stats::Counter::kForwarded);
     if (auto pit = pending_.find(c.id); pit != pending_.end())
       pit->second.path = stats::Path::kForwarded;
@@ -199,7 +197,7 @@ void MultiPaxosReplica::lead(const Command& c) {
   }
   const std::uint64_t slot = next_slot_++;
   assigned_.emplace(c.id, slot);
-  ++counters_.slots_led;
+  m_inc(stats::Counter::kSlotsLed);
   ctx_.broadcast(net::make_payload<Accept>(ballot_, slot, c), true);
 }
 
@@ -248,9 +246,7 @@ void MultiPaxosReplica::flush_batch(bool force) {
       batch_buf_.pop_front();
     }
     CommandPtr head = batch->cmds.front();
-    ++counters_.slots_led;
-    ++counters_.batched_slots;
-    counters_.batched_commands += take;
+    m_inc(stats::Counter::kSlotsLed);
     m_inc(stats::Counter::kBatchedRounds);
     m_inc(stats::Counter::kBatchedCommands, take);
     m_record(stats::Histo::kBatchOccupancy, static_cast<std::int64_t>(take));
@@ -285,7 +281,6 @@ void MultiPaxosReplica::handle_accepted(const Accepted& msg) {
   CommandPtr cmd = st.cmd;
   CommandBatchPtr batch = st.batch;
   commit_slot(msg.slot, cmd, batch);
-  ++counters_.commits;
   ctx_.broadcast(
       net::make_payload<Commit>(msg.slot, std::move(cmd), std::move(batch)),
       false);
@@ -378,7 +373,6 @@ void MultiPaxosReplica::handle_promise(const Promise& msg) {
 void MultiPaxosReplica::become_leader() {
   preparing_ = false;
   leader_ = id_;
-  ++counters_.leader_changes;
   m_inc(stats::Counter::kLeaderChanges);
 
   // Highest-ballot vote per slot (committed votes carry UINT64_MAX).
@@ -502,7 +496,6 @@ void MultiPaxosReplica::try_deliver() {
         delivered_fifo_.pop_front();
       }
       if (!c.noop) {
-        ++counters_.delivered;
         m_inc(stats::Counter::kDelivered);
         auto pit = pending_.find(c.id);
         if (pit != pending_.end()) {

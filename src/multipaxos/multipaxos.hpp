@@ -142,19 +142,6 @@ struct Commit final : net::Message<Commit, net::kKindMultiPaxos + 6> {
 // Replica
 // ---------------------------------------------------------------------
 
-struct MpCounters {
-  std::uint64_t proposals_forwarded = 0;
-  std::uint64_t slots_led = 0;
-  std::uint64_t commits = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t leader_changes = 0;
-  std::uint64_t retries = 0;
-  /// Command batching: multi-command slots led, and total commands placed
-  /// through them (both 0 with batching off).
-  std::uint64_t batched_slots = 0;
-  std::uint64_t batched_commands = 0;
-};
-
 /// Classic Multi-Paxos with a designated leader (the paper's baseline).
 ///
 /// Commands are forwarded to the leader, which assigns consecutive log
@@ -182,7 +169,6 @@ class MultiPaxosReplica final : public core::Replica {
 
   bool is_leader() const { return leader_ == id_ && !preparing_; }
   NodeId current_leader() const { return leader_; }
-  const MpCounters& counters() const { return counters_; }
  private:
   struct SlotState {
     Ballot accepted_ballot = 0;  // highest ballot a value was accepted at
@@ -270,7 +256,6 @@ class MultiPaxosReplica final : public core::Replica {
   core::FailureDetector fd_;
   bool fd_enabled_ = false;  // was the detector started? (restart on recover)
   bool crashed_ = false;
-  MpCounters counters_;
 };
 
 }  // namespace m2::mp

@@ -111,10 +111,10 @@ void apply(Cluster& cluster, std::vector<bool>& crashed,
       cluster.of(action.a).recover(action.a);
       break;
     case FaultKind::kLinkDown:
-      for (auto* c : cluster.chaos) c->set_link(action.a, action.b, true);
+      for (auto* c : cluster.chaos) c->set_link(action.a, action.b, false);
       break;
     case FaultKind::kLinkUp:
-      for (auto* c : cluster.chaos) c->set_link(action.a, action.b, false);
+      for (auto* c : cluster.chaos) c->set_link(action.a, action.b, true);
       break;
     case FaultKind::kPartition:
       for (auto* c : cluster.chaos) c->set_partition(action.group);

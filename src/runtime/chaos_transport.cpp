@@ -71,9 +71,9 @@ void ChaosTransport::fold_metrics(stats::MetricsRegistry& reg) const {
           resets_.load(std::memory_order_relaxed));
 }
 
-void ChaosTransport::set_link(NodeId from, NodeId to, bool down) {
+void ChaosTransport::set_link(NodeId from, NodeId to, bool up) {
   std::lock_guard<std::mutex> lock(mu_);
-  link_down_.at(link_index(from, to)) = down ? 1 : 0;
+  link_down_.at(link_index(from, to)) = up ? 0 : 1;
 }
 
 void ChaosTransport::set_partition(const std::vector<NodeId>& group) {

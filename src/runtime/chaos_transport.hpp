@@ -60,7 +60,9 @@ class ChaosTransport final : public Transport {
   }
 
   // --- fault controls (any thread) -------------------------------------
-  void set_link(NodeId from, NodeId to, bool down);
+  /// Makes the directed link from->to drop everything (or restores it),
+  /// like net::Network::set_link.
+  void set_link(NodeId from, NodeId to, bool up);
   /// Splits `group` from the rest of the cluster (both directions).
   void set_partition(const std::vector<NodeId>& group);
   /// Removes all partitions and per-link failures (not loss/delay/dup —

@@ -21,7 +21,10 @@ const char* metric_name(Counter c) {
     case Counter::kFallbacks: return "fallbacks";
     case Counter::kRetransmissions: return "retransmissions";
     case Counter::kLeaderChanges: return "leader_changes";
+    case Counter::kSlotsLed: return "slots_led";
     case Counter::kCollisions: return "collisions";
+    case Counter::kSequenced: return "sequenced";
+    case Counter::kSlowCommits: return "slow_commits";
     case Counter::kExecBlocked: return "exec_blocked";
     case Counter::kDepBytesSent: return "dep_bytes_sent";
     case Counter::kSyncProbes: return "sync_probes";

@@ -33,7 +33,10 @@ enum class Counter : std::uint16_t {
   kFallbacks,           // routed via the designated conflict leader
   kRetransmissions,     // rounds re-sent with previously assigned slots
   kLeaderChanges,
+  kSlotsLed,            // Multi-Paxos log slots opened by the leader
   kCollisions,          // GenPaxos fast-quorum disagreements
+  kSequenced,           // GenPaxos commands the leader assigned a position
+  kSlowCommits,         // EPaxos commits after an Accept round (leader)
   kExecBlocked,         // EPaxos execution deferrals on uncommitted deps
   kDepBytesSent,        // EPaxos dependency metadata volume
   // Anti-entropy.

@@ -13,14 +13,13 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
-#include "m2paxos/m2paxos.hpp"
-#include "multipaxos/multipaxos.hpp"
 #include "test_util.hpp"
 #include "workload/synthetic.hpp"
 
 namespace m2 {
 namespace {
 
+using stats::Counter;
 using test::cmd;
 
 /// Delivered commands of one run, per node, in delivery order.
@@ -65,9 +64,8 @@ PlanResult run_m2_plan(bool batching) {
     out.orders.push_back(std::move(order));
   }
   for (NodeId n = 0; n < kNodes; ++n) {
-    const auto& c = cluster.replica_as<m2p::M2PaxosReplica>(n).counters();
-    out.batched_rounds += c.batched_rounds;
-    out.batched_commands += c.batched_commands;
+    out.batched_rounds += test::count(cluster, n, Counter::kBatchedRounds);
+    out.batched_commands += test::count(cluster, n, Counter::kBatchedCommands);
   }
   const auto report = cluster.audit_consistency();
   out.audit_ok = report.ok;
@@ -136,9 +134,9 @@ TEST(Batching, MultiPaxosBatchingPreservesSetAndProposerOrder) {
     for (const auto& cs : cluster.cstructs())
       out.orders.emplace_back(cs.sequence().begin(), cs.sequence().end());
     for (NodeId n = 0; n < kNodes; ++n) {
-      const auto& c = cluster.replica_as<mp::MultiPaxosReplica>(n).counters();
-      out.batched_rounds += c.batched_slots;
-      out.batched_commands += c.batched_commands;
+      out.batched_rounds += test::count(cluster, n, Counter::kBatchedRounds);
+      out.batched_commands +=
+          test::count(cluster, n, Counter::kBatchedCommands);
     }
     const auto report = cluster.audit_consistency();
     out.audit_ok = report.ok;
@@ -185,11 +183,8 @@ TEST(Batching, M2PaxosBatchedRunIsDeterministic) {
     cfg.cluster.batching.enabled = true;
     harness::Cluster cluster(cfg, w);
     const auto r = cluster.run();
-    std::uint64_t batched_rounds = 0;
-    for (NodeId n = 0; n < kNodes; ++n)
-      batched_rounds += cluster.replica_as<m2p::M2PaxosReplica>(n)
-                            .counters()
-                            .batched_rounds;
+    const std::uint64_t batched_rounds =
+        r.metrics.counter(Counter::kBatchedRounds);
     std::vector<std::vector<std::uint64_t>> orders;
     for (const auto& cs : cluster.cstructs()) {
       std::vector<std::uint64_t> order;
@@ -235,13 +230,9 @@ TEST(Batching, M2PaxosFrontierGcWithBatchesAnswersLateSync) {
   EXPECT_EQ(cluster.delivered_at(0), 30u);
   EXPECT_EQ(cluster.delivered_at(1), 30u);
   EXPECT_EQ(cluster.delivered_at(2), 0u);
-  auto& owner = cluster.replica_as<m2p::M2PaxosReplica>(0);
-  EXPECT_GT(owner.counters().batched_rounds, 0u);
+  EXPECT_GT(test::count(cluster, 0, Counter::kBatchedRounds), 0u);
   for (NodeId n = 0; n < 2; ++n)
-    EXPECT_GT(cluster.replica_as<m2p::M2PaxosReplica>(n)
-                  .counters()
-                  .gc_truncated_slots,
-              0u)
+    EXPECT_GT(test::count(cluster, n, Counter::kGcTruncatedSlots), 0u)
         << "node " << n;
 
   cluster.network().set_link(0, 2, true);
@@ -252,10 +243,9 @@ TEST(Batching, M2PaxosFrontierGcWithBatchesAnswersLateSync) {
   cluster.run_for(200 * sim::kMillisecond);
 
   EXPECT_EQ(cluster.delivered_at(1), 31u);
-  const auto& lag = cluster.replica_as<m2p::M2PaxosReplica>(2).counters();
-  EXPECT_GT(lag.sync_probes, 0u);
+  EXPECT_GT(test::count(cluster, 2, Counter::kSyncProbes), 0u);
   // The peers taught their retained decisions — including batch tails —
-  EXPECT_GT(lag.sync_slots_learned, 0u);
+  EXPECT_GT(test::count(cluster, 2, Counter::kSyncSlotsLearned), 0u);
   // — but the truncated prefix is gone, so the frontier must hold.
   EXPECT_EQ(cluster.delivered_at(2), 0u);
   const auto report = cluster.audit_consistency();

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
-#include "m2paxos/m2paxos.hpp"
 #include "workload/synthetic.hpp"
 
 namespace m2 {
@@ -24,7 +23,7 @@ struct RunSnapshot {
   std::uint64_t proposals = 0;
   net::TrafficCounters traffic;
   std::map<std::string, std::uint64_t> bytes_by_kind;
-  std::uint64_t gc_truncated = 0;  // summed across nodes
+  std::uint64_t gc_truncated = 0;  // summed across nodes, in the window
   // Delivered command ids, in order, per node.
   std::vector<std::vector<std::uint64_t>> orders;
 };
@@ -45,9 +44,7 @@ RunSnapshot run_once(std::uint64_t seed, std::uint64_t objects_per_node = 1000,
   snap.proposals = r.proposals;
   snap.traffic = r.traffic;
   snap.bytes_by_kind = r.bytes_by_kind;
-  for (NodeId n = 0; n < kNodes; ++n)
-    snap.gc_truncated +=
-        cluster.replica_as<m2p::M2PaxosReplica>(n).counters().gc_truncated_slots;
+  snap.gc_truncated = r.metrics.counter(stats::Counter::kGcTruncatedSlots);
   for (const auto& cs : cluster.cstructs()) {
     std::vector<std::uint64_t> order;
     order.reserve(cs.sequence().size());

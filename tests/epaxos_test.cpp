@@ -8,6 +8,7 @@
 namespace m2::ep {
 namespace {
 
+using stats::Counter;
 using test::cmd;
 
 struct EpCluster {
@@ -17,8 +18,8 @@ struct EpCluster {
         cluster(cfg, workload) {
     cluster.set_measuring(true);
   }
-  EPaxosReplica& replica(NodeId n) {
-    return cluster.replica_as<EPaxosReplica>(n);
+  std::uint64_t count(NodeId n, Counter c) {
+    return test::count(cluster, n, c);
   }
   wl::SyntheticWorkload workload;
   harness::ExperimentConfig cfg;
@@ -31,8 +32,8 @@ TEST(EPaxos, NonConflictingCommandCommitsFast) {
   t.cluster.run_idle();
   EXPECT_EQ(t.cluster.committed_count(), 1u);
   EXPECT_TRUE(test::all_delivered(t.cluster, 1));
-  EXPECT_EQ(t.replica(0).counters().fast_commits, 1u);
-  EXPECT_EQ(t.replica(0).counters().slow_commits, 0u);
+  EXPECT_EQ(t.count(0, Counter::kFastPathRounds), 1u);
+  EXPECT_EQ(t.count(0, Counter::kSlowCommits), 0u);
 }
 
 TEST(EPaxos, EveryReplicaCanLead) {
@@ -42,7 +43,7 @@ TEST(EPaxos, EveryReplicaCanLead) {
   t.cluster.run_idle();
   EXPECT_TRUE(test::all_delivered(t.cluster, 5));
   for (NodeId n = 0; n < 5; ++n)
-    EXPECT_EQ(t.replica(n).counters().fast_commits, 1u) << "node " << n;
+    EXPECT_EQ(t.count(n, Counter::kFastPathRounds), 1u) << "node " << n;
 }
 
 TEST(EPaxos, SameLeaderConflictsStayFast) {
@@ -52,7 +53,7 @@ TEST(EPaxos, SameLeaderConflictsStayFast) {
   for (int i = 1; i <= 10; ++i) t.cluster.propose(0, cmd(0, i, {7}));
   t.cluster.run_idle();
   EXPECT_TRUE(test::all_delivered(t.cluster, 10));
-  EXPECT_EQ(t.replica(0).counters().fast_commits, 10u);
+  EXPECT_EQ(t.count(0, Counter::kFastPathRounds), 10u);
 }
 
 TEST(EPaxos, CrossLeaderConflictsTriggerSlowPath) {
@@ -63,7 +64,7 @@ TEST(EPaxos, CrossLeaderConflictsTriggerSlowPath) {
   t.cluster.run_idle();
   EXPECT_TRUE(test::all_delivered(t.cluster, 50));
   std::uint64_t slow = 0;
-  for (NodeId n = 0; n < 5; ++n) slow += t.replica(n).counters().slow_commits;
+  for (NodeId n = 0; n < 5; ++n) slow += t.count(n, Counter::kSlowCommits);
   EXPECT_GT(slow, 0u);
   const auto report = t.cluster.audit_consistency();
   EXPECT_TRUE(report.ok) << report.violation;
@@ -111,8 +112,8 @@ TEST(EPaxos, DependencyBytesGrowWithConflicts) {
 
   std::uint64_t iso_bytes = 0, con_bytes = 0;
   for (NodeId n = 0; n < 5; ++n) {
-    iso_bytes += isolated.replica(n).counters().dep_bytes_sent;
-    con_bytes += contended.replica(n).counters().dep_bytes_sent;
+    iso_bytes += isolated.count(n, Counter::kDepBytesSent);
+    con_bytes += contended.count(n, Counter::kDepBytesSent);
   }
   EXPECT_GT(con_bytes, iso_bytes);
 }

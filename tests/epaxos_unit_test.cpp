@@ -5,37 +5,16 @@
 #include <vector>
 
 #include "epaxos/epaxos.hpp"
-#include "sim/simulator.hpp"
 #include "test_util.hpp"
 
 namespace m2::ep {
 namespace {
 
 using test::cmd;
+using test::find_last;
+using test::ScriptedContext;
 
-class ScriptedContext final : public core::Context {
- public:
-  sim::Time now() const override { return sim.now(); }
-  sim::Rng& rng() override { return rng_; }
-  void send(NodeId to, net::PayloadPtr p) override {
-    sent.emplace_back(to, std::move(p));
-  }
-  void broadcast(net::PayloadPtr p, bool) override {
-    sent.emplace_back(kNoNode, std::move(p));
-  }
-  sim::EventId set_timer(sim::Time delay, sim::InlineFn fn) override {
-    return sim.after(delay, std::move(fn));
-  }
-  void cancel_timer(sim::EventId id) override { sim.cancel(id); }
-  void deliver(const core::Command& c) override { delivered.push_back(c); }
-  void committed(const core::Command& c) override { committed_.push_back(c); }
-
-  sim::Simulator sim;
-  sim::Rng rng_{5};
-  std::vector<std::pair<NodeId, net::PayloadPtr>> sent;
-  std::vector<core::Command> delivered;
-  std::vector<core::Command> committed_;
-};
+constexpr std::uint64_t kRngSeed = 5;
 
 core::ClusterConfig cfg5() {
   core::ClusterConfig cfg;
@@ -43,14 +22,8 @@ core::ClusterConfig cfg5() {
   return cfg;
 }
 
-const net::Payload* find_last(const ScriptedContext& ctx, std::uint32_t kind) {
-  for (auto it = ctx.sent.rbegin(); it != ctx.sent.rend(); ++it)
-    if (it->second->kind() == kind) return it->second.get();
-  return nullptr;
-}
-
 TEST(EPaxosUnit, LeaderSendsPreAcceptToRingPeers) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   EPaxosReplica leader(0, cfg5(), ctx);
   leader.propose(cmd(0, 1, {7}));
   // Fast quorum peers of node 0 at N=5 are nodes 1 and 2.
@@ -61,7 +34,7 @@ TEST(EPaxosUnit, LeaderSendsPreAcceptToRingPeers) {
 }
 
 TEST(EPaxosUnit, FirstCommandHasNoDeps) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   EPaxosReplica leader(0, cfg5(), ctx);
   leader.propose(cmd(0, 1, {7}));
   const auto* pa = static_cast<const PreAccept*>(
@@ -72,7 +45,7 @@ TEST(EPaxosUnit, FirstCommandHasNoDeps) {
 }
 
 TEST(EPaxosUnit, SecondConflictingCommandDependsOnFirst) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   EPaxosReplica leader(0, cfg5(), ctx);
   leader.propose(cmd(0, 1, {7}));
   leader.propose(cmd(0, 2, {7}));
@@ -85,7 +58,7 @@ TEST(EPaxosUnit, SecondConflictingCommandDependsOnFirst) {
 }
 
 TEST(EPaxosUnit, UnchangedRepliesCommitFast) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   EPaxosReplica leader(0, cfg5(), ctx);
   const auto c = cmd(0, 1, {7});
   leader.propose(c);
@@ -103,13 +76,13 @@ TEST(EPaxosUnit, UnchangedRepliesCommitFast) {
   ASSERT_EQ(ctx.committed_.size(), 1u);  // fast commit, two delays
   EXPECT_EQ(ctx.committed_[0].id, c.id);
   EXPECT_NE(find_last(ctx, net::kKindEPaxos + 5), nullptr);  // Commit bcast
-  EXPECT_EQ(leader.counters().fast_commits, 1u);
+  EXPECT_EQ(ctx.registry.counter(stats::Counter::kFastPathRounds), 1u);
   // Depless instance executes immediately.
   ASSERT_EQ(ctx.delivered.size(), 1u);
 }
 
 TEST(EPaxosUnit, ChangedReplyForcesSlowPath) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   EPaxosReplica leader(0, cfg5(), ctx);
   const auto c = cmd(0, 1, {7});
   leader.propose(c);
@@ -143,11 +116,11 @@ TEST(EPaxosUnit, ChangedReplyForcesSlowPath) {
   ar2.acceptor = 3;
   leader.on_message(3, ar2);
   ASSERT_EQ(ctx.committed_.size(), 1u);
-  EXPECT_EQ(leader.counters().slow_commits, 1u);
+  EXPECT_EQ(ctx.registry.counter(stats::Counter::kSlowCommits), 1u);
 }
 
 TEST(EPaxosUnit, AcceptorExtendsAttrsForKnownConflicts) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   EPaxosReplica acceptor(1, cfg5(), ctx);
   // Acceptor learns of instance (3,5) touching object 7 via a commit.
   acceptor.on_message(3, CommitMsg(make_inst(3, 5), cmd(3, 5, {7}), {2, {}}));
@@ -164,14 +137,14 @@ TEST(EPaxosUnit, AcceptorExtendsAttrsForKnownConflicts) {
 }
 
 TEST(EPaxosUnit, ExecutionWaitsForUncommittedDependency) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   EPaxosReplica node(4, cfg5(), ctx);
   const auto c1 = cmd(0, 1, {7});
   const auto c2 = cmd(1, 1, {7});
   // c2 committed first, depending on c1 (not yet committed here).
   node.on_message(1, CommitMsg(make_inst(1, 1), c2, {1, {make_inst(0, 1)}}));
   EXPECT_TRUE(ctx.delivered.empty());
-  EXPECT_GT(node.counters().exec_blocked, 0u);
+  EXPECT_GT(ctx.registry.counter(stats::Counter::kExecBlocked), 0u);
   // c1's commit unblocks both, in dependency order.
   node.on_message(0, CommitMsg(make_inst(0, 1), c1, {0, {}}));
   ASSERT_EQ(ctx.delivered.size(), 2u);

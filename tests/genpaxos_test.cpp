@@ -8,6 +8,7 @@
 namespace m2::gp {
 namespace {
 
+using stats::Counter;
 using test::cmd;
 
 struct GpCluster {
@@ -17,8 +18,8 @@ struct GpCluster {
         cluster(cfg, workload) {
     cluster.set_measuring(true);
   }
-  GenPaxosReplica& replica(NodeId n) {
-    return cluster.replica_as<GenPaxosReplica>(n);
+  std::uint64_t count(NodeId n, Counter c) {
+    return test::count(cluster, n, c);
   }
   wl::SyntheticWorkload workload;
   harness::ExperimentConfig cfg;
@@ -31,8 +32,8 @@ TEST(GenPaxos, NonConflictingCommandFastAgrees) {
   t.cluster.run_idle();
   EXPECT_EQ(t.cluster.committed_count(), 1u);
   EXPECT_TRUE(test::all_delivered(t.cluster, 1));
-  EXPECT_EQ(t.replica(1).counters().fast_agreements, 1u);
-  EXPECT_EQ(t.replica(1).counters().collisions, 0u);
+  EXPECT_EQ(t.count(1, Counter::kFastPathRounds), 1u);
+  EXPECT_EQ(t.count(1, Counter::kCollisions), 0u);
 }
 
 TEST(GenPaxos, CommitReportedAfterTwoDelays) {
@@ -51,8 +52,8 @@ TEST(GenPaxos, LeaderSequencesEverything) {
       t.cluster.propose(n, cmd(n, i, {static_cast<core::ObjectId>(n * 100 + i)}));
   t.cluster.run_idle();
   EXPECT_TRUE(test::all_delivered(t.cluster, 30));
-  EXPECT_EQ(t.replica(0).counters().sequenced, 30u);
-  EXPECT_EQ(t.replica(1).counters().sequenced, 0u);
+  EXPECT_EQ(t.count(0, Counter::kSequenced), 30u);
+  EXPECT_EQ(t.count(1, Counter::kSequenced), 0u);
 }
 
 TEST(GenPaxos, ConcurrentConflictsCollideAndResolve) {
@@ -63,7 +64,7 @@ TEST(GenPaxos, ConcurrentConflictsCollideAndResolve) {
   EXPECT_TRUE(test::all_delivered(t.cluster, 50));
   std::uint64_t collisions = 0;
   for (NodeId n = 0; n < 5; ++n)
-    collisions += t.replica(n).counters().collisions;
+    collisions += t.count(n, Counter::kCollisions);
   EXPECT_GT(collisions, 0u);
   const auto report = t.cluster.audit_consistency();
   EXPECT_TRUE(report.ok) << report.violation;

@@ -5,48 +5,21 @@
 #include <vector>
 
 #include "genpaxos/genpaxos.hpp"
-#include "sim/simulator.hpp"
 #include "test_util.hpp"
 
 namespace m2::gp {
 namespace {
 
 using test::cmd;
+using test::find_last;
+using test::ScriptedContext;
 
-class ScriptedContext final : public core::Context {
- public:
-  sim::Time now() const override { return sim.now(); }
-  sim::Rng& rng() override { return rng_; }
-  void send(NodeId to, net::PayloadPtr p) override {
-    sent.emplace_back(to, std::move(p));
-  }
-  void broadcast(net::PayloadPtr p, bool) override {
-    sent.emplace_back(kNoNode, std::move(p));
-  }
-  sim::EventId set_timer(sim::Time delay, sim::InlineFn fn) override {
-    return sim.after(delay, std::move(fn));
-  }
-  void cancel_timer(sim::EventId id) override { sim.cancel(id); }
-  void deliver(const core::Command& c) override { delivered.push_back(c); }
-  void committed(const core::Command& c) override { committed_.push_back(c); }
-
-  sim::Simulator sim;
-  sim::Rng rng_{11};
-  std::vector<std::pair<NodeId, net::PayloadPtr>> sent;
-  std::vector<core::Command> delivered;
-  std::vector<core::Command> committed_;
-};
+constexpr std::uint64_t kRngSeed = 11;
 
 core::ClusterConfig cfg3() {
   core::ClusterConfig cfg;
   cfg.n_nodes = 3;  // fast quorum = floor(2*3/3)+1 = 3
   return cfg;
-}
-
-const net::Payload* find_last(const ScriptedContext& ctx, std::uint32_t kind) {
-  for (auto it = ctx.sent.rbegin(); it != ctx.sent.rend(); ++it)
-    if (it->second->kind() == kind) return it->second.get();
-  return nullptr;
 }
 
 FastAck make_ack(const core::Command& c, NodeId acceptor,
@@ -59,7 +32,7 @@ FastAck make_ack(const core::Command& c, NodeId acceptor,
 }
 
 TEST(GenPaxosUnit, ProposeBroadcastsFastRound) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   GenPaxosReplica node(1, cfg3(), ctx);
   node.propose(cmd(1, 1, {4}));
   const auto* fp = find_last(ctx, net::kKindGenPaxos + 1);
@@ -67,38 +40,38 @@ TEST(GenPaxosUnit, ProposeBroadcastsFastRound) {
 }
 
 TEST(GenPaxosUnit, AgreeingFastQuorumCommitsAndNotifiesLeader) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   GenPaxosReplica node(1, cfg3(), ctx);
   const auto c = cmd(1, 1, {4});
   node.propose(c);
   for (NodeId a = 0; a < 3; ++a)
     node.on_message(a, make_ack(c, a, core::CommandId{}));
   ASSERT_EQ(ctx.committed_.size(), 1u);  // fast agreement (2 delays)
-  EXPECT_EQ(node.counters().fast_agreements, 1u);
+  EXPECT_EQ(ctx.registry.counter(stats::Counter::kFastPathRounds), 1u);
   // Leader (node 0) asked to sequence.
   ASSERT_FALSE(ctx.sent.empty());
   const auto& last = ctx.sent.back();
-  EXPECT_EQ(last.first, 0u);
-  EXPECT_EQ(last.second->kind(), net::kKindGenPaxos + 3);
+  EXPECT_EQ(last.to, 0u);
+  EXPECT_EQ(last.payload->kind(), net::kKindGenPaxos + 3);
 }
 
 TEST(GenPaxosUnit, DisagreeingVotesRaiseCollision) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   GenPaxosReplica node(1, cfg3(), ctx);
   const auto c = cmd(1, 1, {4});
   node.propose(c);
   node.on_message(0, make_ack(c, 0, core::CommandId{}));
   node.on_message(1, make_ack(c, 1, core::CommandId{}));
   node.on_message(2, make_ack(c, 2, core::CommandId::make(2, 9)));  // differs
-  EXPECT_EQ(node.counters().collisions, 1u);
+  EXPECT_EQ(ctx.registry.counter(stats::Counter::kCollisions), 1u);
   EXPECT_TRUE(ctx.committed_.empty());
   const auto& last = ctx.sent.back();
-  EXPECT_EQ(last.first, 0u);
-  EXPECT_EQ(last.second->kind(), net::kKindGenPaxos + 4);  // ResolveReq
+  EXPECT_EQ(last.to, 0u);
+  EXPECT_EQ(last.payload->kind(), net::kKindGenPaxos + 4);  // ResolveReq
 }
 
 TEST(GenPaxosUnit, LeaderSequencesOnNotify) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   GenPaxosReplica leader(0, cfg3(), ctx);
   const auto c = cmd(1, 1, {4});
   leader.on_message(1, CommitNotify(c));
@@ -107,16 +80,16 @@ TEST(GenPaxosUnit, LeaderSequencesOnNotify) {
   ASSERT_NE(seq, nullptr);
   EXPECT_EQ(seq->index, 1u);
   EXPECT_EQ(seq->cmd.id, c.id);
-  EXPECT_EQ(leader.counters().sequenced, 1u);
+  EXPECT_EQ(ctx.registry.counter(stats::Counter::kSequenced), 1u);
   // The leader itself delivers in sequence order.
   ASSERT_EQ(ctx.delivered.size(), 1u);
   // Duplicate notifies do not re-sequence.
   leader.on_message(2, CommitNotify(c));
-  EXPECT_EQ(leader.counters().sequenced, 1u);
+  EXPECT_EQ(ctx.registry.counter(stats::Counter::kSequenced), 1u);
 }
 
 TEST(GenPaxosUnit, LeaderResolvesCollisionThroughClassicRound) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   GenPaxosReplica leader(0, cfg3(), ctx);
   const auto c = cmd(2, 1, {4});
   leader.on_message(2, ResolveReq(c));
@@ -128,16 +101,16 @@ TEST(GenPaxosUnit, LeaderResolvesCollisionThroughClassicRound) {
   a1.cmd_id = c.id;
   a1.acceptor = 0;
   leader.on_message(0, a1);
-  EXPECT_EQ(leader.counters().sequenced, 0u);
+  EXPECT_EQ(ctx.registry.counter(stats::Counter::kSequenced), 0u);
   SlowAck a2 = a1;
   a2.acceptor = 1;
   leader.on_message(1, a2);
-  EXPECT_EQ(leader.counters().sequenced, 1u);
+  EXPECT_EQ(ctx.registry.counter(stats::Counter::kSequenced), 1u);
   EXPECT_NE(find_last(ctx, net::kKindGenPaxos + 7), nullptr);
 }
 
 TEST(GenPaxosUnit, LearnerDeliversInIndexOrder) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   GenPaxosReplica learner(2, cfg3(), ctx);
   const auto c1 = cmd(0, 1, {1});
   const auto c2 = cmd(1, 1, {2});
@@ -150,7 +123,7 @@ TEST(GenPaxosUnit, LearnerDeliversInIndexOrder) {
 }
 
 TEST(GenPaxosUnit, AcceptorVoteCarriesPerObjectPredecessors) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   GenPaxosReplica acceptor(2, cfg3(), ctx);
   const auto c1 = cmd(0, 1, {4});
   const auto c2 = cmd(1, 1, {4});

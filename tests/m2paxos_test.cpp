@@ -9,6 +9,7 @@
 namespace m2::m2p {
 namespace {
 
+using stats::Counter;
 using test::cmd;
 using test::test_config;
 
@@ -30,6 +31,9 @@ struct M2Cluster {
   M2PaxosReplica& replica(NodeId n) {
     return cluster.replica_as<M2PaxosReplica>(n);
   }
+  std::uint64_t count(NodeId n, Counter c) {
+    return test::count(cluster, n, c);
+  }
 
   wl::SyntheticWorkload workload;
   harness::ExperimentConfig cfg;
@@ -45,11 +49,10 @@ TEST(M2Paxos, FastPathSingleObject) {
 
   EXPECT_EQ(t.cluster.committed_count(), 1u);
   EXPECT_TRUE(test::all_delivered(t.cluster, 1));
-  const auto& c = t.replica(0).counters();
-  EXPECT_EQ(c.fast_path_rounds, 1u);
-  EXPECT_EQ(c.forwarded, 0u);
-  EXPECT_EQ(c.acquisitions, 0u);
-  EXPECT_EQ(c.retries, 0u);
+  EXPECT_EQ(t.count(0, Counter::kFastPathRounds), 1u);
+  EXPECT_EQ(t.count(0, Counter::kForwarded), 0u);
+  EXPECT_EQ(t.count(0, Counter::kAcquisitions), 0u);
+  EXPECT_EQ(t.count(0, Counter::kRetries), 0u);
 }
 
 TEST(M2Paxos, FastPathCommitIsTwoCommunicationDelays) {
@@ -74,8 +77,9 @@ TEST(M2Paxos, FastPathPipelinesManyCommands) {
   t.cluster.run_idle();
   EXPECT_EQ(t.cluster.committed_count(), static_cast<std::uint64_t>(k));
   EXPECT_TRUE(test::all_delivered(t.cluster, k));
-  EXPECT_EQ(t.replica(0).counters().fast_path_rounds, static_cast<std::uint64_t>(k));
-  EXPECT_EQ(t.replica(0).counters().retries, 0u);
+  EXPECT_EQ(t.count(0, Counter::kFastPathRounds),
+            static_cast<std::uint64_t>(k));
+  EXPECT_EQ(t.count(0, Counter::kRetries), 0u);
   const auto report = t.cluster.audit_consistency();
   EXPECT_TRUE(report.ok) << report.violation;
 }
@@ -86,10 +90,10 @@ TEST(M2Paxos, ForwardsToRemoteOwner) {
   t.cluster.propose(1, cmd(1, 1, {owned_by(0)}));
   t.cluster.run_idle();
   EXPECT_TRUE(test::all_delivered(t.cluster, 1));
-  EXPECT_EQ(t.replica(1).counters().forwarded, 1u);
-  EXPECT_EQ(t.replica(1).counters().acquisitions, 0u);
+  EXPECT_EQ(t.count(1, Counter::kForwarded), 1u);
+  EXPECT_EQ(t.count(1, Counter::kAcquisitions), 0u);
   // The owner executed the accept round.
-  EXPECT_EQ(t.replica(0).counters().fast_path_rounds, 1u);
+  EXPECT_EQ(t.count(0, Counter::kFastPathRounds), 1u);
   // Commit is observed at the origin (proposer) too.
   EXPECT_EQ(t.cluster.committed_count(), 1u);
 }
@@ -99,12 +103,12 @@ TEST(M2Paxos, AcquisitionWhenNoOwner) {
   t.cluster.propose(2, cmd(2, 1, {owned_by(0)}));
   t.cluster.run_idle();
   EXPECT_TRUE(test::all_delivered(t.cluster, 1));
-  EXPECT_EQ(t.replica(2).counters().acquisitions, 1u);
+  EXPECT_EQ(t.count(2, Counter::kAcquisitions), 1u);
   // After acquisition, node 2 owns the object: next proposal is fast.
   t.cluster.propose(2, cmd(2, 2, {owned_by(0)}));
   t.cluster.run_idle();
   EXPECT_TRUE(test::all_delivered(t.cluster, 2));
-  EXPECT_EQ(t.replica(2).counters().fast_path_rounds, 1u);
+  EXPECT_EQ(t.count(2, Counter::kFastPathRounds), 1u);
 }
 
 TEST(M2Paxos, MultiObjectFastPath) {
@@ -112,8 +116,8 @@ TEST(M2Paxos, MultiObjectFastPath) {
   t.cluster.propose(0, cmd(0, 1, {owned_by(0, 1), owned_by(0, 2), owned_by(0, 3)}));
   t.cluster.run_idle();
   EXPECT_TRUE(test::all_delivered(t.cluster, 1));
-  EXPECT_EQ(t.replica(0).counters().fast_path_rounds, 1u);
-  EXPECT_EQ(t.replica(0).counters().acquisitions, 0u);
+  EXPECT_EQ(t.count(0, Counter::kFastPathRounds), 1u);
+  EXPECT_EQ(t.count(0, Counter::kAcquisitions), 0u);
 }
 
 TEST(M2Paxos, MultiOwnerCommandForwardsToPluralityThenAcquires) {
@@ -124,9 +128,9 @@ TEST(M2Paxos, MultiOwnerCommandForwardsToPluralityThenAcquires) {
   t.cluster.propose(2, cmd(2, 1, {owned_by(0), owned_by(1)}));
   t.cluster.run_idle();
   EXPECT_TRUE(test::all_delivered(t.cluster, 1));
-  EXPECT_GE(t.replica(2).counters().forwarded, 1u);
-  EXPECT_EQ(t.replica(2).counters().acquisitions, 0u);
-  EXPECT_GE(t.replica(0).counters().acquisitions, 1u);
+  EXPECT_GE(t.count(2, Counter::kForwarded), 1u);
+  EXPECT_EQ(t.count(2, Counter::kAcquisitions), 0u);
+  EXPECT_GE(t.count(0, Counter::kAcquisitions), 1u);
   const auto report = t.cluster.audit_consistency();
   EXPECT_TRUE(report.ok) << report.violation;
 }
@@ -146,7 +150,7 @@ TEST(M2Paxos, OwnershipMovesWithAcquisition) {
   t.cluster.propose(1, cmd(1, 1, {owned_by(1)}));
   t.cluster.run_idle();
   EXPECT_TRUE(test::all_delivered(t.cluster, 2));
-  EXPECT_EQ(t.replica(1).counters().forwarded, 1u);
+  EXPECT_EQ(t.count(1, Counter::kForwarded), 1u);
 }
 
 TEST(M2Paxos, ConcurrentConflictingProposalsStayConsistent) {
@@ -183,7 +187,7 @@ TEST(M2Paxos, DuplicateProposeIsIgnored) {
   t.replica(0).propose(c);  // duplicate after delivery
   t.cluster.run_idle();
   EXPECT_TRUE(test::all_delivered(t.cluster, 1));
-  EXPECT_EQ(t.replica(0).counters().fast_path_rounds, 1u);
+  EXPECT_EQ(t.count(0, Counter::kFastPathRounds), 1u);
 }
 
 TEST(M2Paxos, PerObjectDecisionsAgreeAcrossNodes) {
@@ -204,10 +208,9 @@ TEST(M2Paxos, CountersAccumulateSanely) {
   for (int i = 1; i <= 5; ++i) t.cluster.propose(0, cmd(0, i, {owned_by(0)}));
   t.cluster.propose(1, cmd(1, 1, {owned_by(0)}));
   t.cluster.run_idle();
-  const auto& c0 = t.replica(0).counters();
-  EXPECT_EQ(c0.delivered, 6u);
-  EXPECT_GE(c0.decided_slots, 6u);
-  EXPECT_EQ(t.replica(1).counters().forwarded, 1u);
+  EXPECT_EQ(t.count(0, Counter::kDelivered), 6u);
+  EXPECT_GE(t.count(0, Counter::kDecidedSlots), 6u);
+  EXPECT_EQ(t.count(1, Counter::kForwarded), 1u);
 }
 
 TEST(M2Paxos, TpccWarehouseLocalityKeepsFastPathDominant) {
@@ -225,10 +228,9 @@ TEST(M2Paxos, TpccWarehouseLocalityKeepsFastPathDominant) {
 
   std::uint64_t fast = 0, fwd = 0, acq = 0;
   for (NodeId n = 0; n < 5; ++n) {
-    const auto& c = cluster.replica_as<M2PaxosReplica>(n).counters();
-    fast += c.fast_path_rounds;
-    fwd += c.forwarded;
-    acq += c.acquisitions;
+    fast += test::count(cluster, n, Counter::kFastPathRounds);
+    fwd += test::count(cluster, n, Counter::kForwarded);
+    acq += test::count(cluster, n, Counter::kAcquisitions);
   }
   EXPECT_GT(fast, 5 * acq) << "fast=" << fast << " fwd=" << fwd
                            << " acq=" << acq;
@@ -262,7 +264,7 @@ TEST(M2Paxos, ContentionStormFallsBackToConflictLeader) {
   EXPECT_TRUE(report.ok) << report.violation;
   std::uint64_t fallbacks = 0;
   for (NodeId n = 0; n < 7; ++n)
-    fallbacks += t.replica(n).counters().fallbacks;
+    fallbacks += t.count(n, Counter::kFallbacks);
   // Whether the storm actually exceeds the threshold is seed-dependent;
   // the assertion is that delivery converged either way.
   (void)fallbacks;

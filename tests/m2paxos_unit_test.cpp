@@ -12,53 +12,19 @@
 #include <vector>
 
 #include "m2paxos/m2paxos.hpp"
-#include "sim/simulator.hpp"
 #include "test_util.hpp"
 
 namespace m2::m2p {
 namespace {
 
 using test::cmd;
+using test::find_last;
+using test::ScriptedContext;
 
-struct Sent {
-  bool broadcast = false;
-  NodeId to = kNoNode;
-  net::PayloadPtr payload;
-};
-
-class ScriptedContext final : public core::Context {
- public:
-  sim::Time now() const override { return sim.now(); }
-  sim::Rng& rng() override { return rng_; }
-  void send(NodeId to, net::PayloadPtr p) override {
-    sent.push_back({false, to, std::move(p)});
-  }
-  void broadcast(net::PayloadPtr p, bool) override {
-    sent.push_back({true, kNoNode, std::move(p)});
-  }
-  sim::EventId set_timer(sim::Time delay, sim::InlineFn fn) override {
-    return sim.after(delay, std::move(fn));
-  }
-  void cancel_timer(sim::EventId id) override { sim.cancel(id); }
-  void deliver(const core::Command& c) override { delivered.push_back(c); }
-  void committed(const core::Command& c) override { committed_.push_back(c); }
-
-  sim::Simulator sim;
-  sim::Rng rng_{7};
-  std::vector<Sent> sent;
-  std::vector<core::Command> delivered;
-  std::vector<core::Command> committed_;
-};
-
-/// Finds the most recent sent payload with the given kind.
-const net::Payload* find_last(const ScriptedContext& ctx, std::uint32_t kind) {
-  for (auto it = ctx.sent.rbegin(); it != ctx.sent.rend(); ++it)
-    if (it->payload->kind() == kind) return it->payload.get();
-  return nullptr;
-}
+constexpr std::uint64_t kRngSeed = 7;
 
 struct Fixture {
-  Fixture() : ctx(), replica(0, make_cfg(), ctx) {
+  Fixture() : replica(0, make_cfg(), ctx) {
     // Node n owns [n*1000, (n+1)*1000).
     replica.set_default_owner(core::OwnerMap::divide(1000));
   }
@@ -67,7 +33,7 @@ struct Fixture {
     cfg.n_nodes = 3;
     return cfg;
   }
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   M2PaxosReplica replica;
 };
 
@@ -280,9 +246,8 @@ TEST(M2PaxosUnit, ForwardedProposeGoesToOwner) {
   // Object 1500 is owned by node 1 per the default map.
   f.replica.propose(cmd(0, 1, {1500}));
   ASSERT_FALSE(f.ctx.sent.empty());
-  const Sent& s = f.ctx.sent.back();
-  EXPECT_FALSE(s.broadcast);
-  EXPECT_EQ(s.to, 1u);
+  const test::Sent& s = f.ctx.sent.back();
+  EXPECT_EQ(s.to, 1u);  // unicast: a broadcast has to == kNoNode
   EXPECT_EQ(s.payload->kind(), net::kKindM2Paxos + 1);  // Propose
 }
 
@@ -312,7 +277,7 @@ TEST(M2PaxosCrossing, TwoCommandCrossingDeliversInIdOrderWhenTheTimerFires) {
   EXPECT_TRUE(f.ctx.delivered.empty());
   fire_crossing_check(f);
   EXPECT_EQ(delivered_ids(f.ctx), (std::vector<core::CommandId>{a.id, b.id}));
-  EXPECT_EQ(f.replica.counters().crossing_delivered, 2u);
+  EXPECT_EQ(f.ctx.registry.counter(stats::Counter::kCrossingDelivered), 2u);
   EXPECT_TRUE(f.replica.stuck_objects().empty());
   EXPECT_EQ(f.replica.table().find(1)->last_appended, 2u);
   EXPECT_EQ(f.replica.table().find(2)->last_appended, 2u);
@@ -330,14 +295,14 @@ TEST(M2PaxosCrossing, UndecidedFrontierHoldsTheCrossingUntilItsDecide) {
   f.replica.on_message(1, Decide({{3, 2, 0, a}}));
   fire_crossing_check(f);
   EXPECT_TRUE(f.ctx.delivered.empty());
-  EXPECT_EQ(f.replica.counters().crossing_delivered, 0u);
+  EXPECT_EQ(f.ctx.registry.counter(stats::Counter::kCrossingDelivered), 0u);
 
   f.replica.on_message(1, Decide({{3, 1, 0, c}}));
   EXPECT_EQ(delivered_ids(f.ctx), (std::vector<core::CommandId>{c.id}));
   fire_crossing_check(f);
   EXPECT_EQ(delivered_ids(f.ctx),
             (std::vector<core::CommandId>{c.id, a.id, b.id}));
-  EXPECT_EQ(f.replica.counters().crossing_delivered, 2u);
+  EXPECT_EQ(f.ctx.registry.counter(stats::Counter::kCrossingDelivered), 2u);
 }
 
 TEST(M2PaxosCrossing, IndependentCrossingsInOneCheckDeliverBySmallestId) {
@@ -354,7 +319,7 @@ TEST(M2PaxosCrossing, IndependentCrossingsInOneCheckDeliverBySmallestId) {
   fire_crossing_check(f);
   EXPECT_EQ(delivered_ids(f.ctx),
             (std::vector<core::CommandId>{c.id, d.id, a.id, b.id}));
-  EXPECT_EQ(f.replica.counters().crossing_checks, 2u)
+  EXPECT_EQ(f.ctx.registry.counter(stats::Counter::kCrossingChecks), 2u)
       << "one check delivers both crossings; a second finds nothing";
 }
 
@@ -370,7 +335,7 @@ TEST(M2PaxosCrossing, CommandWaitingOnACycleIsDeliveredNormallyAfterIt) {
   fire_crossing_check(f);
   EXPECT_EQ(delivered_ids(f.ctx),
             (std::vector<core::CommandId>{a.id, b.id, e.id}));
-  EXPECT_EQ(f.replica.counters().crossing_delivered, 2u)
+  EXPECT_EQ(f.ctx.registry.counter(stats::Counter::kCrossingDelivered), 2u)
       << "e is not part of the cycle";
   EXPECT_TRUE(f.replica.stuck_objects().empty());
 }
@@ -564,7 +529,8 @@ void check_against_oracle(Fixture& f, const std::vector<ObjectId>& objs) {
   }
 
   const std::size_t before = f.ctx.delivered.size();
-  const std::uint64_t crossed_before = f.replica.counters().crossing_delivered;
+  const std::uint64_t crossed_before =
+      f.ctx.registry.counter(stats::Counter::kCrossingDelivered);
   fire_crossing_check(f);
   const std::vector<core::CommandId> got = delivered_ids(f.ctx, before);
   std::size_t pos = 0;
@@ -580,7 +546,8 @@ void check_against_oracle(Fixture& f, const std::vector<ObjectId>& objs) {
     pos += unlocked.size();
   }
   EXPECT_EQ(pos, got.size()) << "delivered more than the oracle";
-  EXPECT_EQ(f.replica.counters().crossing_delivered - crossed_before,
+  EXPECT_EQ(f.ctx.registry.counter(stats::Counter::kCrossingDelivered) -
+                crossed_before,
             expect_crossed);
 }
 
@@ -634,7 +601,7 @@ TEST(M2PaxosCrossing, IncrementalSearchMatchesTheFullScanOnRandomTables) {
     for (const auto& c : f.ctx.delivered)
       EXPECT_TRUE(delivered.insert(c.id).second) << "delivered twice";
     EXPECT_EQ(delivered.size(), n_cmds) << "every command delivers";
-    cycles_broken += f.replica.counters().crossing_delivered;
+    cycles_broken += f.ctx.registry.counter(stats::Counter::kCrossingDelivered);
   }
   EXPECT_GT(cycles_broken, 300u) << "the tables must exercise the search";
 }

@@ -8,6 +8,7 @@
 namespace m2::mp {
 namespace {
 
+using stats::Counter;
 using test::cmd;
 
 struct MpCluster {
@@ -25,6 +26,9 @@ struct MpCluster {
   MultiPaxosReplica& replica(NodeId n) {
     return cluster.replica_as<MultiPaxosReplica>(n);
   }
+  std::uint64_t count(NodeId n, Counter c) {
+    return test::count(cluster, n, c);
+  }
   wl::SyntheticWorkload workload;
   harness::ExperimentConfig cfg;
   harness::Cluster cluster;
@@ -36,7 +40,7 @@ TEST(MultiPaxos, LeaderLocalProposalCommits) {
   t.cluster.run_idle();
   EXPECT_EQ(t.cluster.committed_count(), 1u);
   EXPECT_TRUE(test::all_delivered(t.cluster, 1));
-  EXPECT_EQ(t.replica(0).counters().slots_led, 1u);
+  EXPECT_EQ(t.count(0, Counter::kSlotsLed), 1u);
 }
 
 TEST(MultiPaxos, RemoteProposalForwardsToLeader) {
@@ -44,8 +48,8 @@ TEST(MultiPaxos, RemoteProposalForwardsToLeader) {
   t.cluster.propose(2, cmd(2, 1, {1}));
   t.cluster.run_idle();
   EXPECT_TRUE(test::all_delivered(t.cluster, 1));
-  EXPECT_EQ(t.replica(2).counters().proposals_forwarded, 1u);
-  EXPECT_EQ(t.replica(0).counters().slots_led, 1u);
+  EXPECT_EQ(t.count(2, Counter::kForwarded), 1u);
+  EXPECT_EQ(t.count(0, Counter::kSlotsLed), 1u);
 }
 
 TEST(MultiPaxos, ProducesIdenticalTotalOrder) {

@@ -6,43 +6,16 @@
 #include <vector>
 
 #include "multipaxos/multipaxos.hpp"
-#include "sim/simulator.hpp"
 #include "test_util.hpp"
 
 namespace m2::mp {
 namespace {
 
 using test::cmd;
+using test::find_last;
+using test::ScriptedContext;
 
-class ScriptedContext final : public core::Context {
- public:
-  sim::Time now() const override { return sim.now(); }
-  sim::Rng& rng() override { return rng_; }
-  void send(NodeId to, net::PayloadPtr p) override {
-    sent.emplace_back(to, std::move(p));
-  }
-  void broadcast(net::PayloadPtr p, bool) override {
-    sent.emplace_back(kNoNode, std::move(p));
-  }
-  sim::EventId set_timer(sim::Time delay, sim::InlineFn fn) override {
-    return sim.after(delay, std::move(fn));
-  }
-  void cancel_timer(sim::EventId id) override { sim.cancel(id); }
-  void deliver(const core::Command& c) override { delivered.push_back(c); }
-  void committed(const core::Command& c) override { committed_.push_back(c); }
-
-  sim::Simulator sim;
-  sim::Rng rng_{3};
-  std::vector<std::pair<NodeId, net::PayloadPtr>> sent;
-  std::vector<core::Command> delivered;
-  std::vector<core::Command> committed_;
-};
-
-const net::Payload* find_last(const ScriptedContext& ctx, std::uint32_t kind) {
-  for (auto it = ctx.sent.rbegin(); it != ctx.sent.rend(); ++it)
-    if (it->second->kind() == kind) return it->second.get();
-  return nullptr;
-}
+constexpr std::uint64_t kRngSeed = 3;
 
 core::ClusterConfig cfg3() {
   core::ClusterConfig cfg;
@@ -51,7 +24,7 @@ core::ClusterConfig cfg3() {
 }
 
 TEST(MultiPaxosUnit, InitialLeaderIsNodeZero) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   MultiPaxosReplica leader(0, cfg3(), ctx);
   EXPECT_TRUE(leader.is_leader());
   MultiPaxosReplica follower(1, cfg3(), ctx);
@@ -60,7 +33,7 @@ TEST(MultiPaxosUnit, InitialLeaderIsNodeZero) {
 }
 
 TEST(MultiPaxosUnit, LeaderAssignsConsecutiveSlots) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   MultiPaxosReplica leader(0, cfg3(), ctx);
   leader.propose(cmd(0, 1, {1}));
   leader.propose(cmd(0, 2, {2}));
@@ -72,16 +45,16 @@ TEST(MultiPaxosUnit, LeaderAssignsConsecutiveSlots) {
 }
 
 TEST(MultiPaxosUnit, FollowerForwardsToLeader) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   MultiPaxosReplica follower(2, cfg3(), ctx);
   follower.propose(cmd(2, 1, {1}));
   ASSERT_FALSE(ctx.sent.empty());
-  EXPECT_EQ(ctx.sent.back().first, 0u);
-  EXPECT_EQ(ctx.sent.back().second->kind(), net::kKindMultiPaxos + 1);
+  EXPECT_EQ(ctx.sent.back().to, 0u);
+  EXPECT_EQ(ctx.sent.back().payload->kind(), net::kKindMultiPaxos + 1);
 }
 
 TEST(MultiPaxosUnit, QuorumOfAcceptedCommitsAndBroadcasts) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   MultiPaxosReplica leader(0, cfg3(), ctx);
   const auto c = cmd(0, 1, {1});
   leader.propose(c);
@@ -106,7 +79,7 @@ TEST(MultiPaxosUnit, QuorumOfAcceptedCommitsAndBroadcasts) {
 }
 
 TEST(MultiPaxosUnit, AcceptorRejectsLowerBallotAfterPromise) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   MultiPaxosReplica acceptor(1, cfg3(), ctx);
   acceptor.on_message(2, Prepare(5, 1));  // ballot 5 led by node 2 (5 % 3)
   const auto* promise = static_cast<const Promise*>(
@@ -124,7 +97,7 @@ TEST(MultiPaxosUnit, AcceptorRejectsLowerBallotAfterPromise) {
 }
 
 TEST(MultiPaxosUnit, PromiseCarriesVotesAboveRequestedSlot) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   MultiPaxosReplica acceptor(1, cfg3(), ctx);
   const auto c = cmd(0, 1, {1});
   acceptor.on_message(0, Accept(0, 4, c));
@@ -140,7 +113,7 @@ TEST(MultiPaxosUnit, PromiseCarriesVotesAboveRequestedSlot) {
 }
 
 TEST(MultiPaxosUnit, CommitsDeliverInSlotOrder) {
-  ScriptedContext ctx;
+  ScriptedContext ctx{kRngSeed};
   MultiPaxosReplica learner(2, cfg3(), ctx);
   const auto c1 = cmd(0, 1, {1});
   const auto c2 = cmd(0, 2, {2});

@@ -407,7 +407,7 @@ struct ChaosPair {
 
 TEST(ChaosTransportUnit, LinkDownLossAndPartitionDropAndCount) {
   ChaosPair pair;
-  pair.chaos.set_link(0, 1, true);
+  pair.chaos.set_link(0, 1, /*up=*/false);
   pair.chaos.send(0, 1, *make_accept(1));
   EXPECT_EQ(pair.chaos.chaos_dropped(), 1u);
 

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "stats/histogram.hpp"
-#include "stats/series.hpp"
 
 namespace m2::stats {
 namespace {
@@ -151,26 +150,6 @@ TEST(Histogram, ResetClears) {
   h.reset();
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.max(), 0);
-}
-
-TEST(Summary, ComputesMoments) {
-  const auto s = summarize({1.0, 2.0, 3.0, 4.0, 5.0});
-  EXPECT_DOUBLE_EQ(s.mean, 3.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 5.0);
-  EXPECT_NEAR(s.stddev, 1.5811, 1e-3);
-  EXPECT_EQ(s.n, 5u);
-}
-
-TEST(Summary, EmptyIsZero) {
-  const auto s = summarize({});
-  EXPECT_EQ(s.n, 0u);
-  EXPECT_EQ(s.mean, 0.0);
-}
-
-TEST(Speedup, HandlesZeroDenominator) {
-  EXPECT_DOUBLE_EQ(speedup(10, 2), 5.0);
-  EXPECT_DOUBLE_EQ(speedup(10, 0), 0.0);
 }
 
 }  // namespace

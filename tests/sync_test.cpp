@@ -11,6 +11,7 @@
 namespace m2::m2p {
 namespace {
 
+using stats::Counter;
 using test::cmd;
 
 struct SyncCluster {
@@ -25,6 +26,9 @@ struct SyncCluster {
   }
   M2PaxosReplica& replica(NodeId n) {
     return cluster.replica_as<M2PaxosReplica>(n);
+  }
+  std::uint64_t count(NodeId n, Counter c) {
+    return test::count(cluster, n, c);
   }
   wl::SyntheticWorkload workload;
   harness::ExperimentConfig cfg;
@@ -49,7 +53,7 @@ TEST(M2PaxosSync, LaggingReplicaCatchesUpViaSync) {
   t.cluster.run_for(100 * sim::kMillisecond);
 
   EXPECT_EQ(t.cluster.delivered_at(2), 6u);
-  EXPECT_GT(t.replica(2).counters().sync_slots_learned, 0u);
+  EXPECT_GT(t.count(2, Counter::kSyncSlotsLearned), 0u);
   const auto report = t.cluster.audit_consistency();
   EXPECT_TRUE(report.ok) << report.violation;
 }
@@ -61,7 +65,7 @@ TEST(M2PaxosSync, HealthyRunSendsNoProbes) {
   for (int i = 1; i <= 10; ++i) t.cluster.propose(0, cmd(0, i, {0}));
   t.cluster.run_idle();
   for (NodeId n = 0; n < 3; ++n)
-    EXPECT_EQ(t.replica(n).counters().sync_probes, 0u) << "node " << n;
+    EXPECT_EQ(t.count(n, Counter::kSyncProbes), 0u) << "node " << n;
 }
 
 TEST(M2PaxosSync, FrontierGcKeepsOnlyTheSyncMargin) {
@@ -77,7 +81,7 @@ TEST(M2PaxosSync, FrontierGcKeepsOnlyTheSyncMargin) {
     EXPECT_EQ(st->last_appended, 20u) << "node " << n;
     // Retained window = exactly the margin below the frontier.
     EXPECT_EQ(st->log.base(), 20u + 1 - 4) << "node " << n;
-    EXPECT_GT(t.replica(n).counters().gc_truncated_slots, 0u) << "node " << n;
+    EXPECT_GT(t.count(n, Counter::kGcTruncatedSlots), 0u) << "node " << n;
   }
   const auto report = t.cluster.audit_consistency();
   EXPECT_TRUE(report.ok) << report.violation;
@@ -97,7 +101,7 @@ TEST(M2PaxosSync, LateSyncBelowTruncationHorizonAnswersRetainedWindow) {
   EXPECT_EQ(t.cluster.delivered_at(0), 30u);
   EXPECT_EQ(t.cluster.delivered_at(1), 30u);
   for (NodeId n = 0; n < 2; ++n)
-    EXPECT_GT(t.replica(n).counters().gc_truncated_slots, 0u) << "node " << n;
+    EXPECT_GT(t.count(n, Counter::kGcTruncatedSlots), 0u) << "node " << n;
 
   t.cluster.network().set_link(0, 2, true);
   t.cluster.network().set_link(1, 2, true);
@@ -107,9 +111,9 @@ TEST(M2PaxosSync, LateSyncBelowTruncationHorizonAnswersRetainedWindow) {
   t.cluster.run_for(200 * sim::kMillisecond);
 
   EXPECT_EQ(t.cluster.delivered_at(1), 31u);
-  EXPECT_GT(t.replica(2).counters().sync_probes, 0u);
+  EXPECT_GT(t.count(2, Counter::kSyncProbes), 0u);
   // The peers taught the retained decisions above their base...
-  EXPECT_GT(t.replica(2).counters().sync_slots_learned, 0u);
+  EXPECT_GT(t.count(2, Counter::kSyncSlotsLearned), 0u);
   // ...but the truncated prefix is gone everywhere, so node 2's frontier
   // must hold at zero (prefix order forbids delivering the suffix alone).
   EXPECT_EQ(t.cluster.delivered_at(2), 0u);
@@ -137,7 +141,7 @@ TEST(M2PaxosSync, LatePrepareBelowTruncationHorizonRespectsFloors) {
   t.cluster.propose(2, cmd(2, 1, {0}));
   t.cluster.run_for(500 * sim::kMillisecond);
 
-  EXPECT_GT(t.replica(2).counters().acquisitions, 0u);
+  EXPECT_GT(t.count(2, Counter::kAcquisitions), 0u);
   // Node 1's promise carried floor 30: the command landed above it and
   // node 1's sequence extended past its old frontier intact. (The frontier
   // may advance past 31 — repeated takeover rounds fill their skipped

@@ -32,4 +32,14 @@ bool all_delivered(const harness::Cluster& cluster, std::uint64_t expected) {
   return true;
 }
 
+std::uint64_t count(harness::Cluster& cluster, NodeId n, stats::Counter c) {
+  return cluster.node_metrics(n)->counter(c);
+}
+
+const net::Payload* find_last(const ScriptedContext& ctx, std::uint32_t kind) {
+  for (auto it = ctx.sent.rbegin(); it != ctx.sent.rend(); ++it)
+    if (it->payload->kind() == kind) return it->payload.get();
+  return nullptr;
+}
+
 }  // namespace m2::test
