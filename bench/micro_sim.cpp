@@ -45,7 +45,7 @@ struct ChainTask {
     sim->after(delay, ChainTask{*this});
   }
 };
-static_assert(sim::InlineFn::stored_inline<ChainTask>(),
+static_assert(core::InlineFn::stored_inline<ChainTask>(),
               "chain task must stay on the allocation-free path");
 
 /// Chain task for the cancel mix: every firing schedules two events and
@@ -57,12 +57,12 @@ struct CancelMixTask {
   std::uint64_t target;
   void operator()() const {
     if (++*fired >= target) return;
-    const sim::EventId victim = sim->after(5, [] {});
+    const core::TimerHandle victim = sim->after(5, [] {});
     sim->cancel(victim);
     sim->after(1, CancelMixTask{*this});
   }
 };
-static_assert(sim::InlineFn::stored_inline<CancelMixTask>(),
+static_assert(core::InlineFn::stored_inline<CancelMixTask>(),
               "cancel-mix task must stay on the allocation-free path");
 
 struct Ping final : net::Payload {
@@ -85,7 +85,7 @@ struct SendPump {
     if (*sent < target) sim->after(10, SendPump{*this});
   }
 };
-static_assert(sim::InlineFn::stored_inline<SendPump>(),
+static_assert(core::InlineFn::stored_inline<SendPump>(),
               "send pump must stay on the allocation-free path");
 
 struct MixResult {

@@ -3,6 +3,7 @@
 #include <cstdint>
 
 #include "core/command.hpp"
+#include "core/event_queue.hpp"
 #include "core/inline_fn.hpp"
 #include "core/time.hpp"
 #include "net/payload.hpp"
@@ -17,18 +18,13 @@ class MetricsRegistry;  // definition in stats/metrics.hpp
 
 namespace m2::core {
 
-/// Opaque handle to a pending one-shot timer, returned by
-/// Context::set_timer and consumed by Context::cancel_timer.
-///
-/// Backends mint their own handles (the simulator uses event-queue ids,
-/// the threaded runtime uses timer-wheel slot/generation pairs); replicas
-/// only store and return them. kInvalidTimer is never minted, so replicas
-/// can use it as their "no timer armed" sentinel.
-using TimerHandle = std::uint64_t;
-inline constexpr TimerHandle kInvalidTimer = 0;
-
-// Timer callbacks are core::TimerFn (core/inline_fn.hpp): move-only,
-// small-buffer, invoked at most once.
+// Timers: Context::set_timer takes a core::TimerFn (core/inline_fn.hpp:
+// move-only, small-buffer, invoked at most once) and returns a
+// core::TimerHandle (core/event_queue.hpp). Both backends arm timers on an
+// EventQueue, the simulator on its event loop and the threaded runtime on
+// each node's own queue. Replicas only store and return handles;
+// kInvalidTimer is never minted, so it serves as their "no timer armed"
+// sentinel.
 
 /// Monotonic nanosecond clock. The simulator implements it with virtual
 /// (event-driven) time; the threaded runtime with CLOCK_MONOTONIC rebased

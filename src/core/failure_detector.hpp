@@ -5,8 +5,8 @@
 
 #include "core/config.hpp"
 #include "core/replica.hpp"
+#include "core/time.hpp"
 #include "net/wire.hpp"
-#include "sim/time.hpp"
 
 namespace m2::core {
 
@@ -64,7 +64,7 @@ class FailureDetector {
   NodeId self_;
   int n_nodes_;
   Context& ctx_;
-  std::vector<sim::Time> last_heard_;
+  std::vector<core::Time> last_heard_;
   core::TimerHandle timer_ = core::kInvalidTimer;
   bool running_ = false;
   NodeId last_leader_ = kNoNode;

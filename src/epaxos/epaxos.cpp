@@ -26,14 +26,14 @@ void EPaxosReplica::on_crash() { crashed_ = true; }
 void EPaxosReplica::on_recover() { crashed_ = false; }
 
 core::RxCost EPaxosReplica::rx_cost(const net::Payload& payload) const {
-  const sim::Time parallel = core::rx_cost(payload.wire_size());
+  const core::Time parallel = core::rx_cost(payload.wire_size());
   // Interference-table updates and dependency-graph execution touch state
   // shared by all worker threads; EPaxos pays a serialization point per
   // message plus work proportional to the dependency list (paper §VI-A:
   // "meta-data are shared between local threads, thus introducing
   // contention that can lead to poor CPU utilization").
   const std::uint32_t k = payload.kind();
-  sim::Time serial = 0;
+  core::Time serial = 0;
   std::size_t deps = 0;
   switch (k) {
     case net::kKindEPaxos + 1:  // interference-table update
@@ -51,7 +51,7 @@ core::RxCost EPaxosReplica::rx_cost(const net::Payload& payload) const {
     default:
       break;
   }
-  serial += static_cast<sim::Time>(60 * deps);
+  serial += static_cast<core::Time>(60 * deps);
   return core::RxCost{serial, parallel};
 }
 

@@ -10,9 +10,9 @@
 #include "core/command.hpp"
 #include "core/config.hpp"
 #include "core/replica.hpp"
-#include "net/wire.hpp"
-#include "sim/time.hpp"
+#include "core/time.hpp"
 #include "epaxos/graph.hpp"
+#include "net/wire.hpp"
 
 namespace m2::ep {
 
@@ -140,7 +140,7 @@ class EPaxosReplica final : public core::Replica {
     std::vector<NodeId> accept_repliers;
     // Metrics (command-leader side only; -1 on purely-accepting replicas).
     // Path degrades to "slow" when the pre-accept votes disagree.
-    sim::Time proposed_at = -1;
+    core::Time proposed_at = -1;
     stats::Path path = stats::Path::kFast;
   };
 

@@ -47,7 +47,7 @@ const char* to_string(FaultKind kind) {
 
 std::string FaultAction::to_string() const {
   std::ostringstream os;
-  os << "[e" << episode << "] " << at / sim::kMicrosecond << "us "
+  os << "[e" << episode << "] " << at / core::kMicrosecond << "us "
      << fuzz::to_string(kind);
   switch (kind) {
     case FaultKind::kCrash:
@@ -137,7 +137,7 @@ Episode pick_episode(sim::Rng& rng, bool runtime_faults) {
 // gcc's -Wmissing-field-initializers fires on partial aggregate init even
 // though the omitted members have default initializers; build actions
 // through this maker instead.
-FaultAction act(sim::Time at, FaultKind kind, NodeId a = kNoNode,
+FaultAction act(core::Time at, FaultKind kind, NodeId a = kNoNode,
                 NodeId b = kNoNode) {
   FaultAction f;
   f.at = at;
@@ -157,33 +157,32 @@ std::vector<FaultAction> make_schedule(std::uint64_t seed,
   const int intensity = std::clamp(cfg.intensity, 1, 10);
   const auto episodes = static_cast<int>(
       static_cast<std::uint64_t>(intensity) * cfg.horizon /
-      (100 * sim::kMillisecond));
+      (100 * core::kMillisecond));
 
   std::vector<FaultAction> schedule;
   struct CrashInterval {
-    sim::Time start, end;
+    core::Time start, end;
     NodeId victim;
   };
   std::vector<CrashInterval> crash_intervals;
 
-  auto rand_time = [&](sim::Time lo, sim::Time hi) {
-    return lo + static_cast<sim::Time>(
+  auto rand_time = [&](core::Time lo, core::Time hi) {
+    return lo + static_cast<core::Time>(
                     rng.uniform(static_cast<std::uint64_t>(hi - lo) + 1));
   };
 
   for (int e = 0; e < episodes; ++e) {
     // Episode start anywhere in the first 80% of the horizon; the undo
     // lands between start and the horizon, biased short so faults overlap.
-    const sim::Time start = rand_time(0, cfg.horizon * 4 / 5);
-    const sim::Time max_dwell = cfg.horizon - start;
-    const sim::Time dwell =
-        std::max<sim::Time>(1 * sim::kMillisecond,
-                            std::min<sim::Time>(
-                                max_dwell, static_cast<sim::Time>(rng.exponential(
-                                               static_cast<double>(
-                                                   cfg.horizon) /
-                                               (2.0 * intensity)))));
-    const sim::Time end = std::min(cfg.horizon, start + dwell);
+    const core::Time start = rand_time(0, cfg.horizon * 4 / 5);
+    const core::Time max_dwell = cfg.horizon - start;
+    const core::Time dwell = std::max<core::Time>(
+        1 * core::kMillisecond,
+        std::min<core::Time>(
+            max_dwell,
+            static_cast<core::Time>(rng.exponential(
+                static_cast<double>(cfg.horizon) / (2.0 * intensity)))));
+    const core::Time end = std::min(cfg.horizon, start + dwell);
 
     const std::size_t first_action = schedule.size();
     switch (pick_episode(rng, cfg.runtime_faults)) {

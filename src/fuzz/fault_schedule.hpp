@@ -4,8 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "core/time.hpp"
 #include "net/payload.hpp"
-#include "sim/time.hpp"
 
 namespace m2::fuzz {
 
@@ -35,7 +35,8 @@ enum class FaultKind : std::uint8_t {
 const char* to_string(FaultKind kind);
 
 struct FaultAction {
-  sim::Time at = 0;             // absolute simulated time of injection
+  core::Time at = 0;            // injection time: virtual on the sim,
+                                // since run start on the runtime
   FaultKind kind = FaultKind::kHeal;
   NodeId a = kNoNode;           // victim node / link source
   NodeId b = kNoNode;           // link destination
@@ -56,7 +57,7 @@ struct ScheduleConfig {
   /// paired with its undo inside [0, horizon]; by `horizon` the cluster is
   /// always fully healed (all nodes up, links up, loss/dup 0, latency x1),
   /// which is what lets the auditor demand eventual delivery afterwards.
-  sim::Time horizon = 300 * sim::kMillisecond;
+  core::Time horizon = 300 * core::kMillisecond;
   /// 1..10: expected number of fault episodes per 100 ms of horizon.
   int intensity = 3;
   /// Also generate runtime-only episodes (connection resets, wire

@@ -19,7 +19,7 @@ void GenPaxosReplica::on_crash() {
 void GenPaxosReplica::on_recover() { crashed_ = false; }
 
 core::RxCost GenPaxosReplica::rx_cost(const net::Payload& payload) const {
-  const sim::Time parallel = core::rx_cost(payload.wire_size());
+  const core::Time parallel = core::rx_cost(payload.wire_size());
   // The leader sequences every command and resolves every collision on a
   // single thread — the single-leader bottleneck the paper attributes to
   // Generalized Paxos.
@@ -51,9 +51,9 @@ void GenPaxosReplica::arm_retry(CommandId id) {
   if (it == pending_.end()) return;
   ctx_.cancel_timer(it->second.timer);
   const int shift = std::min(it->second.attempts, 3);
-  const sim::Time base = cfg_.forward_timeout << shift;
-  const sim::Time delay =
-      base / 2 + static_cast<sim::Time>(
+  const core::Time base = cfg_.forward_timeout << shift;
+  const core::Time delay =
+      base / 2 + static_cast<core::Time>(
                      ctx_.rng().uniform(static_cast<std::uint64_t>(base)));
   it->second.timer = ctx_.set_timer(delay, [this, id] {
     auto pit = pending_.find(id);

@@ -10,8 +10,8 @@
 #include "core/command.hpp"
 #include "core/config.hpp"
 #include "core/replica.hpp"
+#include "core/time.hpp"
 #include "net/wire.hpp"
-#include "sim/time.hpp"
 
 namespace m2::gp {
 
@@ -157,7 +157,7 @@ class GenPaxosReplica final : public core::Replica {
     core::TimerHandle timer = core::kInvalidTimer;
     // Metrics: local propose time; path degrades to "slow" when the command
     // is handed to the leader (collision or timeout).
-    sim::Time proposed_at = -1;
+    core::Time proposed_at = -1;
     stats::Path path = stats::Path::kFast;
   };
   struct SlowRound {

@@ -28,7 +28,7 @@ void ClientSet::start() {
   running_ = true;
   const int n = cluster_.n_nodes();
   const int per_node = cluster_.config().load.clients_per_node;
-  timers_.assign(static_cast<std::size_t>(n) * per_node, sim::kInvalidEvent);
+  timers_.assign(static_cast<std::size_t>(n) * per_node, core::kInvalidTimer);
   for (NodeId node = 0; node < static_cast<NodeId>(n); ++node) {
     for (int c = 0; c < per_node; ++c) {
       const std::size_t idx = static_cast<std::size_t>(node) * per_node + c;
@@ -43,7 +43,7 @@ void ClientSet::start() {
 void ClientSet::stop() {
   if (!running_) return;
   running_ = false;
-  for (sim::EventId t : timers_) cluster_.simulator().cancel(t);
+  for (core::TimerHandle t : timers_) cluster_.simulator().cancel(t);
   timers_.clear();
 }
 

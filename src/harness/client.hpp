@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "net/payload.hpp"
-#include "sim/event_queue.hpp"
+#include "core/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 
@@ -31,7 +31,7 @@ class ClientSet {
   Cluster& cluster_;
   sim::Rng rng_;
   bool running_ = false;
-  std::vector<sim::EventId> timers_;  // one per client, for stop()
+  std::vector<core::TimerHandle> timers_;  // one per client, for stop()
 };
 
 }  // namespace m2::harness

@@ -50,10 +50,12 @@ class NodeContext final : public core::Context {
     cluster_.network_->broadcast(id_, std::move(payload), include_self);
   }
 
-  sim::EventId set_timer(sim::Time delay, sim::InlineFn fn) override {
+  core::TimerHandle set_timer(sim::Time delay, core::TimerFn fn) override {
     return cluster_.sim_.after(delay, std::move(fn));
   }
-  void cancel_timer(sim::EventId id) override { cluster_.sim_.cancel(id); }
+  void cancel_timer(core::TimerHandle id) override {
+    cluster_.sim_.cancel(id);
+  }
 
   void deliver(const core::Command& c) override { cluster_.on_deliver(id_, c); }
   void committed(const core::Command& c) override {

@@ -30,7 +30,7 @@ constexpr int kAcquisitionFallbackAfter = 8;
 
 /// Base of the randomized exponential backoff between ownership-acquisition
 /// retries; growth is capped at core::kRetryBackoffMax.
-constexpr sim::Time kRetryBackoffMin = 200 * sim::kMicrosecond;
+constexpr core::Time kRetryBackoffMin = 200 * core::kMicrosecond;
 
 }  // namespace
 
@@ -84,9 +84,9 @@ void M2PaxosReplica::start_sync_timer() {
   if (cfg_.sync_period <= 0 || cfg_.n_nodes < 2 || crashed_) return;
   if (stuck_objects_.empty()) return;
   // Jittered so replicas do not probe in lockstep.
-  const sim::Time delay =
+  const core::Time delay =
       cfg_.sync_period / 2 +
-      static_cast<sim::Time>(ctx_.rng().uniform(
+      static_cast<core::Time>(ctx_.rng().uniform(
           static_cast<std::uint64_t>(cfg_.sync_period)));
   sync_timer_ = ctx_.set_timer(delay, [this] { sync_tick(); });
 }
@@ -305,7 +305,7 @@ void M2PaxosReplica::coordinate(core::CommandId id) {
       // cooldown window is enough — a single success unblocks the cascade.
       // The jitter staggers replicas that would otherwise retry in
       // lockstep (the backoffs elsewhere are also randomized per node).
-      const sim::Time now = ctx_.now();
+      const core::Time now = ctx_.now();
       blocked.erase(
           std::remove_if(
               blocked.begin(), blocked.end(),
@@ -314,7 +314,7 @@ void M2PaxosReplica::coordinate(core::CommandId id) {
                 if (!fresh && now < slot->second) return true;
                 slot->second =
                     now + cfg_.forward_timeout +
-                    static_cast<sim::Time>(ctx_.rng().uniform(
+                    static_cast<core::Time>(ctx_.rng().uniform(
                         static_cast<std::uint64_t>(cfg_.forward_timeout)));
                 return false;
               }),
@@ -418,7 +418,7 @@ void M2PaxosReplica::arm_watchdog(PendingCommand& pc) {
   const core::CommandId id = pc.cmd->id;
   // Backed-off watchdog: re-coordinations of a congested command must not
   // multiply its load.
-  const sim::Time delay = cfg_.forward_timeout
+  const core::Time delay = cfg_.forward_timeout
                           << std::min(pc.attempts, 3);
   pc.watchdog = ctx_.set_timer(delay, [this, id] {
     auto it = pending_.find(id);
@@ -477,15 +477,20 @@ void M2PaxosReplica::enqueue_batch(PendingCommand& pc) {
               ? stats::Counter::kBatchFlushFull
               : stats::Counter::kBatchFlushBytes);
     flush_batches(/*force=*/true);  // a full batch closes immediately
-  } else if (batch_timer_ == core::kInvalidTimer) {
+  } else {
     // Adaptive window: a partial batch waits at most batch_window after
     // its first command before closing (bounds the latency cost).
-    batch_timer_ = ctx_.set_timer(bcfg_.batch_window, [this] {
-      batch_timer_ = core::kInvalidTimer;
-      m_inc(stats::Counter::kBatchFlushWindow);
-      flush_batches(/*force=*/true);
-    });
+    arm_batch_window();
   }
+}
+
+void M2PaxosReplica::arm_batch_window() {
+  if (batch_timer_ != core::kInvalidTimer) return;
+  batch_timer_ = ctx_.set_timer(bcfg_.batch_window, [this] {
+    batch_timer_ = core::kInvalidTimer;
+    m_inc(stats::Counter::kBatchFlushWindow);
+    flush_batches(/*force=*/true);
+  });
 }
 
 void M2PaxosReplica::flush_batches(bool force) {
@@ -498,14 +503,10 @@ void M2PaxosReplica::flush_batches(bool force) {
     batch_queued_bytes_ = 0;
     ctx_.cancel_timer(batch_timer_);
     batch_timer_ = core::kInvalidTimer;
-  } else if (batch_timer_ == core::kInvalidTimer) {
+  } else {
     // Leftovers (pipeline full, or a round closed early on a cap): re-arm
     // the window so they are never stranded waiting for the next enqueue.
-    batch_timer_ = ctx_.set_timer(bcfg_.batch_window, [this] {
-      batch_timer_ = core::kInvalidTimer;
-      m_inc(stats::Counter::kBatchFlushWindow);
-      flush_batches(/*force=*/true);
-    });
+    arm_batch_window();
   }
 }
 
@@ -1377,10 +1378,10 @@ void M2PaxosReplica::retry_later(core::CommandId id) {
   m_inc(stats::Counter::kRetries);
 
   const int shift = std::min(pc.attempts, 6);
-  const sim::Time base =
+  const core::Time base =
       std::min(core::kRetryBackoffMax, kRetryBackoffMin << shift);
-  const sim::Time delay =
-      base / 2 + static_cast<sim::Time>(ctx_.rng().uniform(
+  const core::Time delay =
+      base / 2 + static_cast<core::Time>(ctx_.rng().uniform(
                      static_cast<std::uint64_t>(base)));
   ctx_.cancel_timer(pc.watchdog);
   pc.watchdog = ctx_.set_timer(delay, [this, id] { coordinate(id); });

@@ -12,7 +12,7 @@
 #include "core/owner_map.hpp"
 #include "core/pool.hpp"
 #include "core/replica.hpp"
-#include "sim/time.hpp"
+#include "core/time.hpp"
 #include "m2paxos/delivered_window.hpp"
 #include "m2paxos/messages.hpp"
 #include "m2paxos/ownership.hpp"
@@ -113,7 +113,7 @@ class M2PaxosReplica final : public core::Replica {
     SlotList assigned_slots;
     // Metrics: local propose time and the decision path taken (degrades
     // fast → forwarded/slow at the corresponding coordinate() branch).
-    sim::Time proposed_at = -1;
+    core::Time proposed_at = -1;
     stats::Path path = stats::Path::kFast;
   };
   struct AcceptRound {
@@ -142,7 +142,7 @@ class M2PaxosReplica final : public core::Replica {
     core::SmallVec<NodeId, 8> ackers;  // deduplicated
     std::vector<AckPrepare::Vote> votes;
     /// Metrics: when the acquisition round was started (kAcquisitionNs).
-    sim::Time started_at = -1;
+    core::Time started_at = -1;
   };
 
   /// Hash containers on the per-command hot path draw their nodes from the
@@ -176,6 +176,10 @@ class M2PaxosReplica final : public core::Replica {
   /// `force` flushes partial batches (window expiry / pipeline drain);
   /// without it only full batches close.
   void flush_batches(bool force);
+  /// Arms the batch window unless it is already armed: a partial batch
+  /// waits at most batch_window before the timer force-flushes it (counted
+  /// as a window flush).
+  void arm_batch_window();
   /// Builds one accept round from the queue front (grouping commands by
   /// object into multi-command slots) and sends it. Returns false when
   /// nothing sendable was queued.
@@ -269,7 +273,7 @@ class M2PaxosReplica final : public core::Replica {
   std::vector<ObjectState*> crossing_roots_;
   /// Earliest time another delivery-repair acquisition may target each
   /// object (see coordinate(); repairs are deduplicated per object).
-  PooledMap<ObjectId, sim::Time> repair_cooldown_;
+  PooledMap<ObjectId, core::Time> repair_cooldown_;
   /// Batch accumulator (replica-wide): queued fast-path commands awaiting
   /// a flush, FIFO. Entries are command ids — stale ones (rerouted,
   /// delivered, ownership lost) are skipped at flush time.

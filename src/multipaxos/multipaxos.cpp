@@ -83,7 +83,7 @@ void MultiPaxosReplica::on_recover() {
 }
 
 core::RxCost MultiPaxosReplica::rx_cost(const net::Payload& payload) const {
-  const sim::Time parallel = core::rx_cost(payload.wire_size());
+  const core::Time parallel = core::rx_cost(payload.wire_size());
   // The leader's ordering step (assigning log slots to proposals) is a
   // single thread. Phase-2 ack counting is per-slot and parallelizes, but
   // every message of every command still lands on the one leader — which
@@ -118,9 +118,9 @@ void MultiPaxosReplica::arm_retry(const Command& c) {
   // Exponential backoff with jitter: retransmissions on a congested leader
   // must not amplify the congestion.
   const int shift = std::min(it->second.attempts, 3);
-  const sim::Time base = cfg_.forward_timeout << shift;
-  const sim::Time delay =
-      base / 2 + static_cast<sim::Time>(
+  const core::Time base = cfg_.forward_timeout << shift;
+  const core::Time delay =
+      base / 2 + static_cast<core::Time>(
                      ctx_.rng().uniform(static_cast<std::uint64_t>(base)));
   it->second.timer = ctx_.set_timer(delay, [this, id] {
     auto pit = pending_.find(id);
@@ -212,13 +212,18 @@ void MultiPaxosReplica::enqueue_batch(const Command& c) {
               ? stats::Counter::kBatchFlushFull
               : stats::Counter::kBatchFlushBytes);
     flush_batch(/*force=*/true);
-  } else if (batch_timer_ == core::kInvalidTimer) {
-    batch_timer_ = ctx_.set_timer(bcfg_.batch_window, [this] {
-      batch_timer_ = core::kInvalidTimer;
-      m_inc(stats::Counter::kBatchFlushWindow);
-      flush_batch(/*force=*/true);
-    });
+  } else {
+    arm_batch_window();
   }
+}
+
+void MultiPaxosReplica::arm_batch_window() {
+  if (batch_timer_ != core::kInvalidTimer) return;
+  batch_timer_ = ctx_.set_timer(bcfg_.batch_window, [this] {
+    batch_timer_ = core::kInvalidTimer;
+    m_inc(stats::Counter::kBatchFlushWindow);
+    flush_batch(/*force=*/true);
+  });
 }
 
 void MultiPaxosReplica::flush_batch(bool force) {
@@ -260,12 +265,7 @@ void MultiPaxosReplica::flush_batch(bool force) {
   }
   // Pipeline full (or partial batch held back): the window timer closes
   // the remainder; commits re-enter here as in-flight slots settle.
-  if (!batch_buf_.empty() && batch_timer_ == core::kInvalidTimer) {
-    batch_timer_ = ctx_.set_timer(bcfg_.batch_window, [this] {
-      batch_timer_ = core::kInvalidTimer;
-      flush_batch(/*force=*/true);
-    });
-  }
+  if (!batch_buf_.empty()) arm_batch_window();
 }
 
 void MultiPaxosReplica::handle_accepted(const Accepted& msg) {

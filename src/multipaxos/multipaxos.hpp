@@ -12,8 +12,8 @@
 #include "core/config.hpp"
 #include "core/failure_detector.hpp"
 #include "core/replica.hpp"
+#include "core/time.hpp"
 #include "net/wire.hpp"
-#include "sim/time.hpp"
 
 namespace m2::mp {
 
@@ -188,7 +188,7 @@ class MultiPaxosReplica final : public core::Replica {
     core::TimerHandle timer = core::kInvalidTimer;
     // Metrics: local propose time and the decision path the command took
     // (leader-local slots are "fast", forwarded ones "forwarded").
-    sim::Time proposed_at = -1;
+    core::Time proposed_at = -1;
     stats::Path path = stats::Path::kFast;
   };
 
@@ -196,6 +196,9 @@ class MultiPaxosReplica final : public core::Replica {
   void lead(const Command& c);
   void enqueue_batch(const Command& c);
   void flush_batch(bool force);
+  /// Arms the batch window unless it is already armed; its expiry
+  /// force-flushes the queue and counts a window flush.
+  void arm_batch_window();
   void handle_prepare(NodeId from, const Prepare& msg);
   void handle_promise(const Promise& msg);
   void handle_accept(NodeId from, const Accept& msg);

@@ -155,7 +155,7 @@ void Network::enqueue(Envelope env) {
   if (batch.envelopes.size() >= cfg_.batch_max_messages ||
       batch.bytes >= cfg_.batch_max_bytes) {
     flush(from, to);
-  } else if (batch.flush_event == sim::kInvalidEvent) {
+  } else if (batch.flush_event == core::kInvalidTimer) {
     batch.flush_event =
         sim_.after(cfg_.batch_window, [this, from, to] { flush(from, to); });
   }
@@ -169,7 +169,7 @@ void Network::flush(NodeId from, NodeId to) {
   sim_.cancel(batch.flush_event);
   batch.envelopes.clear();
   batch.bytes = 0;
-  batch.flush_event = sim::kInvalidEvent;
+  batch.flush_event = core::kInvalidTimer;
   ++counters_[from].batches_sent;
   transmit(from, to, std::move(envelopes), bytes + cfg_.per_batch_overhead);
 }

@@ -7,7 +7,7 @@
 
 #include "net/latency.hpp"
 #include "net/payload.hpp"
-#include "sim/inline_fn.hpp"
+#include "core/inline_fn.hpp"
 #include "sim/simulator.hpp"
 
 namespace m2::net {
@@ -63,7 +63,7 @@ struct TrafficCounters {
 /// which routes the envelope through the destination node's CPU model.
 class Network {
  public:
-  using DeliveryFn = sim::BasicInlineFn<void(const Envelope&)>;
+  using DeliveryFn = core::BasicInlineFn<void(const Envelope&)>;
 
   Network(sim::Simulator& sim, NetworkConfig cfg, int n_nodes);
 
@@ -115,7 +115,7 @@ class Network {
   struct Batch {
     std::vector<Envelope> envelopes;
     std::size_t bytes = 0;
-    sim::EventId flush_event = sim::kInvalidEvent;
+    core::TimerHandle flush_event = core::kInvalidTimer;
   };
 
   std::size_t link_index(NodeId from, NodeId to) const {

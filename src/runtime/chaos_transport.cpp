@@ -223,43 +223,45 @@ void ChaosTransport::enqueue_delayed(NodeId from, NodeId to,
   // cross threads); the pump decodes the bytes and re-injects the message
   // through the inner transport, which re-encodes — double serialization
   // is the price of holding a message, paid only on delayed ones.
-  Delayed d;
-  d.at = deliver_at;
-  d.from = from;
-  d.to = to;
-  net::encode_payload_into(payload, d.bytes);
+  std::vector<std::uint8_t> bytes;
+  net::encode_payload_into(payload, bytes);
+  auto reinject = [this, from, to, bytes = std::move(bytes)] {
+    // Decoded trees are immutable and arena-backed, so crossing from the
+    // pump thread into the inner transport's send path is safe.
+    if (net::PayloadPtr decoded = net::decode_payload(bytes);
+        decoded != nullptr) {
+      inner_->send(from, to, *decoded);
+    }
+  };
+  static_assert(core::InlineFn::stored_inline<decltype(reinject)>(),
+                "a held-back message must cost no callback allocation");
   {
     std::lock_guard<std::mutex> lock(q_mu_);
     if (!pump_running_) return;  // stopping: the hold-back queue drains dry
-    d.seq = next_seq_++;
-    queue_.push(std::move(d));
+    held_.schedule(deliver_at, std::move(reinject));
   }
   q_cv_.notify_one();
 }
 
 void ChaosTransport::pump_loop() {
   std::unique_lock<std::mutex> lock(q_mu_);
+  core::InlineFn reinject;
   while (true) {
     if (!pump_running_) return;  // pending messages are dropped at stop
-    if (queue_.empty()) {
-      q_cv_.wait(lock, [&] { return !pump_running_ || !queue_.empty(); });
+    if (held_.empty()) {
+      q_cv_.wait(lock, [&] { return !pump_running_ || !held_.empty(); });
       continue;
     }
     const core::Time now = chaos_now();
-    const core::Time at = queue_.top().at;
+    const core::Time at = held_.next_time();
     if (at > now) {
       q_cv_.wait_for(lock, std::chrono::nanoseconds(at - now));
       continue;
     }
-    Delayed d = queue_.top();
-    queue_.pop();
+    held_.pop_into(reinject);
     lock.unlock();
-    // Decoded trees are immutable and arena-backed, so crossing from the
-    // pump thread into the inner transport's send path is safe.
-    if (net::PayloadPtr decoded = net::decode_payload(d.bytes);
-        decoded != nullptr) {
-      inner_->send(d.from, d.to, *decoded);
-    }
+    reinject();
+    reinject = nullptr;  // frees the bytes outside the lock
     lock.lock();
   }
 }

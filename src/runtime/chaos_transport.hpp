@@ -5,10 +5,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
+#include "core/event_queue.hpp"
 #include "core/time.hpp"
 #include "runtime/transport.hpp"
 #include "sim/rng.hpp"
@@ -110,19 +110,6 @@ class ChaosTransport final : public Transport {
   }
 
  private:
-  struct Delayed {
-    core::Time at = 0;
-    std::uint64_t seq = 0;  // FIFO tie-break for equal deadlines
-    NodeId from = kNoNode;
-    NodeId to = kNoNode;
-    std::vector<std::uint8_t> bytes;
-  };
-  struct DelayedLater {
-    bool operator()(const Delayed& x, const Delayed& y) const {
-      return x.at != y.at ? x.at > y.at : x.seq > y.seq;
-    }
-  };
-
   std::size_t link_index(NodeId from, NodeId to) const {
     return static_cast<std::size_t>(from) * static_cast<std::size_t>(n_) +
            static_cast<std::size_t>(to);
@@ -149,8 +136,8 @@ class ChaosTransport final : public Transport {
 
   std::mutex q_mu_;
   std::condition_variable q_cv_;
-  std::priority_queue<Delayed, std::vector<Delayed>, DelayedLater> queue_;
-  std::uint64_t next_seq_ = 0;  // guarded by q_mu_
+  /// Held-back messages: each entry re-injects its encoded bytes.
+  core::EventQueue held_;       // guarded by q_mu_
   bool pump_running_ = false;   // guarded by q_mu_
   std::thread pump_;
 

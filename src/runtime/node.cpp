@@ -1,5 +1,6 @@
 #include "runtime/node.hpp"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -21,7 +22,7 @@ std::uint64_t node_seed(std::uint64_t seed, NodeId id) {
 }  // namespace
 
 /// core::Context against the real-clock substrate: transport for I/O, the
-/// node's timer wheel for timers, the shared monotonic clock for now().
+/// node's EventQueue for timers, the shared monotonic clock for now().
 /// Only ever called from the node thread (the Context threading contract).
 class Node::Context final : public core::Context {
  public:
@@ -44,9 +45,12 @@ class Node::Context final : public core::Context {
   }
 
   core::TimerHandle set_timer(core::Time delay, core::TimerFn fn) override {
-    return node_.wheel_.set(now(), delay, std::move(fn));
+    return node_.timers_.schedule(now() + std::max<core::Time>(delay, 0),
+                                  std::move(fn));
   }
-  void cancel_timer(core::TimerHandle id) override { node_.wheel_.cancel(id); }
+  void cancel_timer(core::TimerHandle id) override {
+    node_.timers_.cancel(id);
+  }
 
   void deliver(const core::Command& c) override {
     node_.callbacks_.node_deliver(node_.id_, c);
@@ -110,9 +114,12 @@ void Node::run() {
   // backlog vector, so one mutex round trips N events allocation-free.
   std::vector<Event> batch;
   while (running_) {
-    wheel_.expire(clock_.now());
+    // One pass: fire the timers due now (a timer they arm waits for the
+    // next pass, even at zero delay), then drain the inbox until the next
+    // deadline.
+    timers_.run_due(clock_.now());
     batch.clear();
-    inbox_.drain_until(wheel_.next_deadline(), clock_, batch);
+    inbox_.drain_until(timers_.next_time(), clock_, batch);
     for (Event& e : batch) {
       handle(e);
       if (!running_) break;

@@ -7,9 +7,9 @@
 
 #include "core/config.hpp"
 #include "core/context.hpp"
+#include "core/event_queue.hpp"
 #include "core/replica.hpp"
 #include "runtime/inbox.hpp"
-#include "runtime/timer_wheel.hpp"
 #include "runtime/transport.hpp"
 #include "sim/rng.hpp"
 #include "stats/metrics.hpp"
@@ -38,7 +38,7 @@ class NodeCallbacks {
 /// pool — is constructed, driven, and destroyed entirely on the node
 /// thread; every external input (protocol message, local proposal, fault
 /// injection, control closure) arrives through the MPSC inbox, and timers
-/// fire from the node's own timer wheel between inbox drains. That makes
+/// fire from the node's own EventQueue between inbox drains. That makes
 /// the node loop the same serialization point core::Context documents for
 /// the simulator, with real time instead of virtual time.
 class Node {
@@ -93,7 +93,7 @@ class Node {
   Setup setup_;
 
   Inbox inbox_;
-  TimerWheel wheel_;
+  core::EventQueue timers_;  // node-thread local
   sim::Rng rng_;
   std::unique_ptr<Context> ctx_;
   std::unique_ptr<core::Replica> replica_;  // lives on the node thread only

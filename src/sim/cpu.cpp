@@ -14,7 +14,8 @@ Time NodeCpu::earliest_core_free() const {
   return *std::min_element(core_free_at_.begin(), core_free_at_.end());
 }
 
-void NodeCpu::submit(Time serial_cost, Time parallel_cost, InlineFn done) {
+void NodeCpu::submit(Time serial_cost, Time parallel_cost,
+                     core::InlineFn done) {
   const Time end = charge_internal(serial_cost, parallel_cost);
   sim_.at(end, std::move(done));
 }

@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/inline_fn.hpp"
+#include "core/inline_fn.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -27,7 +27,7 @@ class NodeCpu {
   NodeCpu(Simulator& sim, int cores);
 
   /// Enqueues a job. Costs must be >= 0. `done` runs when the job completes.
-  void submit(Time serial_cost, Time parallel_cost, InlineFn done);
+  void submit(Time serial_cost, Time parallel_cost, core::InlineFn done);
 
   /// submit() without a completion callback: occupies the serial resource
   /// and a core identically, but schedules no simulator event. For

@@ -4,8 +4,7 @@
 #include <cstdint>
 #include <utility>
 
-#include "sim/event_queue.hpp"
-#include "sim/inline_fn.hpp"
+#include "core/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 
@@ -27,19 +26,19 @@ class Simulator {
 
   /// Schedules a callable to run `delay` from now (delay >= 0).
   template <typename F>
-  EventId after(Time delay, F&& fn) {
+  core::TimerHandle after(Time delay, F&& fn) {
     assert(delay >= 0);
     return queue_.schedule(now_ + delay, std::forward<F>(fn));
   }
 
   /// Schedules a callable at absolute time `when` (>= now()).
   template <typename F>
-  EventId at(Time when, F&& fn) {
+  core::TimerHandle at(Time when, F&& fn) {
     assert(when >= now_);
     return queue_.schedule(when, std::forward<F>(fn));
   }
 
-  void cancel(EventId id) { queue_.cancel(id); }
+  void cancel(core::TimerHandle id) { queue_.cancel(id); }
 
   /// Runs events until the queue is empty or `limit` events have fired.
   /// Returns the number of events executed.
@@ -78,7 +77,7 @@ class Simulator {
 
  private:
   Time now_ = 0;
-  EventQueue queue_;
+  core::EventQueue queue_;
   Rng rng_;
   std::uint64_t executed_ = 0;
 };

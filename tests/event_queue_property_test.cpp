@@ -7,21 +7,21 @@
 #include <map>
 #include <ostream>
 
-#include "sim/event_queue.hpp"
+#include "core/event_queue.hpp"
 #include "sim/rng.hpp"
 
-namespace m2::sim {
+namespace m2::core {
 namespace {
 
 class ReferenceQueue {
  public:
-  EventId schedule(Time at) {
-    const EventId id = next_id_++;
+  TimerHandle schedule(Time at) {
+    const TimerHandle id = next_id_++;
     entries_.emplace(std::make_pair(at, id), id);
     by_id_.emplace(id, at);
     return id;
   }
-  bool cancel(EventId id) {
+  bool cancel(TimerHandle id) {
     auto it = by_id_.find(id);
     if (it == by_id_.end()) return false;
     entries_.erase({it->second, id});
@@ -33,19 +33,19 @@ class ReferenceQueue {
   Time next_time() const {
     return entries_.empty() ? kTimeNever : entries_.begin()->first.first;
   }
-  EventId pop() {
-    const EventId id = entries_.begin()->second;
+  TimerHandle pop() {
+    const TimerHandle id = entries_.begin()->second;
     by_id_.erase(id);
     entries_.erase(entries_.begin());
     return id;
   }
 
  private:
-  // Seq == EventId here: both queues assign ids in schedule order, so the
+  // Seq == id here: both queues assign ids in schedule order, so the
   // (time, id) tie-break matches EventQueue's (time, seq) FIFO order.
-  std::map<std::pair<Time, EventId>, EventId> entries_;
-  std::map<EventId, Time> by_id_;
-  EventId next_id_ = 1;
+  std::map<std::pair<Time, TimerHandle>, TimerHandle> entries_;
+  std::map<TimerHandle, Time> by_id_;
+  TimerHandle next_id_ = 1;
 };
 
 struct Param {
@@ -64,12 +64,12 @@ class EventQueueDifferential : public ::testing::TestWithParam<Param> {};
 
 TEST_P(EventQueueDifferential, MatchesReference) {
   const auto p = GetParam();
-  Rng rng(p.seed);
+  sim::Rng rng(p.seed);
   EventQueue q;
   ReferenceQueue ref;
   // Map from reference id -> (queue id, payload marker).
-  std::map<EventId, std::pair<EventId, std::uint64_t>> live;
-  std::vector<EventId> fired_ids;  // for cancel-after-fire probes
+  std::map<TimerHandle, std::pair<TimerHandle, std::uint64_t>> live;
+  std::vector<TimerHandle> fired_ids;  // for cancel-after-fire probes
   std::uint64_t fired_marker = 0;
 
   for (int op = 0; op < p.ops; ++op) {
@@ -78,8 +78,8 @@ TEST_P(EventQueueDifferential, MatchesReference) {
       // schedule
       const Time at = static_cast<Time>(rng.uniform(1000));
       const std::uint64_t marker = rng.next();
-      const EventId rid = ref.schedule(at);
-      const EventId qid =
+      const TimerHandle rid = ref.schedule(at);
+      const TimerHandle qid =
           q.schedule(at, [marker, &fired_marker] { fired_marker = marker; });
       live[rid] = {qid, marker};
     } else if (roll < 7 && !live.empty()) {
@@ -91,7 +91,7 @@ TEST_P(EventQueueDifferential, MatchesReference) {
       live.erase(it);
     } else if (roll == 7) {
       // adversarial cancels: bogus and already-fired ids must be no-ops
-      q.cancel(kInvalidEvent);
+      q.cancel(kInvalidTimer);
       q.cancel(0xdeadbeefULL << 32);
       if (!fired_ids.empty())
         q.cancel(fired_ids[rng.uniform(fired_ids.size())]);
@@ -99,7 +99,7 @@ TEST_P(EventQueueDifferential, MatchesReference) {
       // pop and compare
       ASSERT_FALSE(q.empty());
       EXPECT_EQ(q.next_time(), ref.next_time());
-      const EventId rid = ref.pop();
+      const TimerHandle rid = ref.pop();
       auto [t, fn] = q.pop();
       fn();
       ASSERT_TRUE(live.count(rid));
@@ -115,7 +115,7 @@ TEST_P(EventQueueDifferential, MatchesReference) {
   while (!ref.empty()) {
     ASSERT_FALSE(q.empty());
     EXPECT_EQ(q.next_time(), ref.next_time());
-    const EventId rid = ref.pop();
+    const TimerHandle rid = ref.pop();
     auto [t, fn] = q.pop();
     fn();
     EXPECT_EQ(fired_marker, live[rid].second);
@@ -140,19 +140,19 @@ class EventQueueCancelHeavy : public ::testing::TestWithParam<Param> {};
 
 TEST_P(EventQueueCancelHeavy, FifoAndSlotReuseSurviveMassCancellation) {
   const auto p = GetParam();
-  Rng rng(p.seed);
+  sim::Rng rng(p.seed);
   EventQueue q;
   ReferenceQueue ref;
-  std::map<EventId, EventId> live;         // reference id -> queue id
-  std::vector<int> fire_count;             // indexed by reference id
-  std::vector<EventId> stale_ids;          // cancelled/fired queue ids
+  std::map<TimerHandle, TimerHandle> live;  // reference id -> queue id
+  std::vector<int> fire_count;              // indexed by reference id
+  std::vector<TimerHandle> stale_ids;       // cancelled/fired queue ids
   std::uint64_t scheduled = 0, cancelled = 0;
   fire_count.push_back(0);  // reference ids start at 1
 
   const auto drain_one = [&] {
     ASSERT_FALSE(q.empty());
     ASSERT_EQ(q.next_time(), ref.next_time());
-    const EventId rid = ref.pop();
+    const TimerHandle rid = ref.pop();
     auto [t, fn] = q.pop();
     fn();
     ASSERT_EQ(fire_count[rid], 1) << "FIFO tie-break diverged at id " << rid;
@@ -165,7 +165,7 @@ TEST_P(EventQueueCancelHeavy, FifoAndSlotReuseSurviveMassCancellation) {
     if (roll < 4) {
       // schedule; times in [0, 4) so ~25% of live events tie
       const Time at = static_cast<Time>(rng.uniform(4));
-      const EventId rid = ref.schedule(at);
+      const TimerHandle rid = ref.schedule(at);
       fire_count.push_back(0);
       live[rid] = q.schedule(at, [rid, &fire_count] { ++fire_count[rid]; });
       ++scheduled;
@@ -214,12 +214,14 @@ TEST(EventQueueSlotReuse, StaleCancelCannotKillRecycledSlot) {
   EventQueue q;
   for (int round = 0; round < 100; ++round) {
     bool stale_fired = false;
-    const EventId old_id = q.schedule(1, [&stale_fired] { stale_fired = true; });
+    const TimerHandle old_id =
+        q.schedule(1, [&stale_fired] { stale_fired = true; });
     q.cancel(old_id);
     // Surfacing the tombstone recycles the slot into the free list.
     EXPECT_EQ(q.next_time(), kTimeNever);
     bool new_fired = false;
-    const EventId new_id = q.schedule(2, [&new_fired] { new_fired = true; });
+    const TimerHandle new_id =
+        q.schedule(2, [&new_fired] { new_fired = true; });
     ASSERT_NE(new_id, old_id) << "generation must advance on reuse";
     q.cancel(old_id);  // stale: must not disarm the recycled slot
     ASSERT_FALSE(q.empty());
@@ -233,4 +235,4 @@ TEST(EventQueueSlotReuse, StaleCancelCannotKillRecycledSlot) {
 }
 
 }  // namespace
-}  // namespace m2::sim
+}  // namespace m2::core

@@ -31,10 +31,10 @@ struct FdHarness {
       for (NodeId to = 0; to < static_cast<NodeId>(h_.cfg_.n_nodes); ++to)
         if (to != id_ || include_self) h_.route(id_, to, p);
     }
-    sim::EventId set_timer(sim::Time d, sim::InlineFn fn) override {
+    core::TimerHandle set_timer(sim::Time d, core::TimerFn fn) override {
       return h_.sim_.after(d, std::move(fn));
     }
-    void cancel_timer(sim::EventId id) override { h_.sim_.cancel(id); }
+    void cancel_timer(core::TimerHandle id) override { h_.sim_.cancel(id); }
     void deliver(const Command&) override {}
     void committed(const Command&) override {}
     FdHarness& h_;

@@ -174,7 +174,7 @@ std::vector<fuzz::FaultAction> ten_episodes() {
   std::vector<fuzz::FaultAction> schedule;
   for (int e = 0; e < 10; ++e) {
     fuzz::FaultAction action;
-    action.at = (e + 1) * 10 * sim::kMillisecond;
+    action.at = (e + 1) * 10 * core::kMillisecond;
     action.kind = fuzz::FaultKind::kLatencySpike;
     action.value = 2.0;
     action.episode = e;

@@ -125,5 +125,51 @@ TEST(MultiPaxosUnit, CommitsDeliverInSlotOrder) {
   EXPECT_EQ(ctx.delivered[1].id, c2.id);
 }
 
+TEST(MultiPaxosUnit, ReArmedBatchWindowCountsTheFlushItCloses) {
+  ScriptedContext ctx{kRngSeed};
+  core::ClusterConfig cfg = cfg3();
+  cfg.batching.enabled = true;
+  cfg.batching.pipeline_depth = 1;
+  const core::Time window = cfg.batching.batch_window;
+  MultiPaxosReplica leader(0, cfg, ctx);
+  auto last_accept_slot = [&] {
+    const auto* a =
+        static_cast<const Accept*>(find_last(ctx, net::kKindMultiPaxos + 4));
+    return a == nullptr ? 0 : a->slot;
+  };
+
+  const auto c1 = cmd(0, 1, {1});
+  leader.propose(c1);
+  ctx.sim.run_until(window);  // closes slot 1; the pipeline is now full
+  ASSERT_EQ(last_accept_slot(), 1u);
+
+  // The window expires with the pipeline full: c2 is held back and the
+  // flush re-arms the window.
+  leader.propose(cmd(0, 2, {2}));
+  ctx.sim.run_until(2 * window);
+  ASSERT_EQ(last_accept_slot(), 1u);
+
+  // Slot 1 commits: the pipeline has room, but a partial batch waits.
+  leader.on_message(0, Accept(0, 1, c1));
+  Accepted ack;
+  ack.ballot = 0;
+  ack.slot = 1;
+  ack.ack = true;
+  for (NodeId from : {0u, 1u}) {
+    ack.acceptor = from;
+    leader.on_message(from, ack);
+  }
+  ASSERT_EQ(ctx.committed_.size(), 1u);
+  ASSERT_EQ(last_accept_slot(), 1u);
+
+  // The re-armed window closes the held-back batch and counts it.
+  const std::uint64_t before =
+      ctx.registry.counter(stats::Counter::kBatchFlushWindow);
+  ctx.sim.run_until(3 * window);
+  EXPECT_EQ(last_accept_slot(), 2u);
+  EXPECT_EQ(ctx.registry.counter(stats::Counter::kBatchFlushWindow),
+            before + 1);
+}
+
 }  // namespace
 }  // namespace m2::mp

@@ -1,11 +1,11 @@
-// Threaded real-transport runtime: timer wheel and inbox units, 5-node
-// loopback clusters (M²Paxos and Multi-Paxos) deciding 10k commands
-// through a node kill-and-restart with auditor-checked ordering safety,
-// a real-socket TCP smoke test, and the public m2::ClusterBuilder facade.
+// Threaded real-transport runtime: inbox units, 5-node loopback clusters
+// (M²Paxos and Multi-Paxos) deciding 10k commands through a node
+// kill-and-restart with auditor-checked ordering safety, a real-socket TCP
+// smoke test, and the public m2::ClusterBuilder facade.
 //
 // Labeled `runtime` — CI runs this binary under TSan (the loopback
-// clusters exercise every cross-thread edge: inbox handoff, timer wheel,
-// transport counters, commit accounting).
+// clusters exercise every cross-thread edge: inbox handoff, node-confined
+// timer queues, transport counters, commit accounting).
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -29,89 +29,9 @@
 #include "runtime/inbox.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/tcp_transport.hpp"
-#include "runtime/timer_wheel.hpp"
 
 namespace m2::runtime {
 namespace {
-
-// ---------------------------------------------------------------- timers
-
-TEST(TimerWheel, FiresInDeadlineThenInsertionOrder) {
-  TimerWheel wheel;
-  std::vector<int> fired;
-  wheel.set(0, 3 * core::kMillisecond, core::TimerFn([&] { fired.push_back(3); }));
-  wheel.set(0, 1 * core::kMillisecond, core::TimerFn([&] { fired.push_back(1); }));
-  wheel.set(0, 2 * core::kMillisecond, core::TimerFn([&] { fired.push_back(2); }));
-  wheel.set(0, 1 * core::kMillisecond, core::TimerFn([&] { fired.push_back(11); }));
-
-  wheel.expire(500 * core::kMicrosecond);
-  EXPECT_TRUE(fired.empty());
-  EXPECT_EQ(wheel.size(), 4u);
-
-  wheel.expire(10 * core::kMillisecond);
-  EXPECT_EQ(fired, (std::vector<int>{1, 11, 2, 3}));
-  EXPECT_EQ(wheel.size(), 0u);
-  EXPECT_EQ(wheel.next_deadline(), core::kTimeNever);
-}
-
-TEST(TimerWheel, CancelPreventsFiringAndStaleHandlesAreHarmless) {
-  TimerWheel wheel;
-  int fired = 0;
-  const auto h1 = wheel.set(0, core::kMillisecond,
-                            core::TimerFn([&] { ++fired; }));
-  const auto h2 = wheel.set(0, core::kMillisecond,
-                            core::TimerFn([&] { ++fired; }));
-  EXPECT_NE(h1, core::kInvalidTimer);
-  wheel.cancel(h1);
-  wheel.cancel(h1);                  // double-cancel: no-op
-  wheel.cancel(core::kInvalidTimer); // invalid: no-op
-  wheel.expire(2 * core::kMillisecond);
-  EXPECT_EQ(fired, 1);
-  wheel.cancel(h2);  // already fired: no-op
-
-  // The freed slot is recycled with a bumped generation: cancelling the
-  // old handle must not kill the new timer.
-  const auto h3 = wheel.set(2 * core::kMillisecond, core::kMillisecond,
-                            core::TimerFn([&] { ++fired; }));
-  EXPECT_NE(h3, h1);
-  wheel.cancel(h1);
-  wheel.cancel(h2);
-  wheel.expire(4 * core::kMillisecond);
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(TimerWheel, NextDeadlineTracksSoonestTimer) {
-  TimerWheel wheel;
-  EXPECT_EQ(wheel.next_deadline(), core::kTimeNever);
-  wheel.set(0, 5 * core::kMillisecond, core::TimerFn([] {}));
-  const auto h = wheel.set(0, core::kMillisecond, core::TimerFn([] {}));
-  EXPECT_EQ(wheel.next_deadline(), core::kMillisecond);
-  wheel.cancel(h);
-  // Cancelled entries are dropped as they surface at the heap top, so the
-  // reported deadline is exact even right after a cancel.
-  EXPECT_EQ(wheel.next_deadline(), 5 * core::kMillisecond);
-  wheel.expire(core::kMillisecond);  // nothing due anymore at 1ms
-  EXPECT_EQ(wheel.next_deadline(), 5 * core::kMillisecond);
-}
-
-TEST(TimerWheel, CallbacksMayRearmReentrantly) {
-  TimerWheel wheel;
-  int fired = 0;
-  // Each firing arms the next: a protocol retry-backoff chain.
-  std::function<void(core::Time)> arm = [&](core::Time now) {
-    wheel.set(now, core::kMillisecond, core::TimerFn([&, now] {
-                ++fired;
-                if (fired < 5) arm(now + core::kMillisecond);
-              }));
-  };
-  arm(0);
-  for (core::Time t = core::kMillisecond; fired < 5;
-       t += core::kMillisecond) {
-    wheel.expire(t);
-    ASSERT_LT(t, core::kSecond);  // diverged
-  }
-  EXPECT_EQ(fired, 5);
-}
 
 // ----------------------------------------------------------------- inbox
 

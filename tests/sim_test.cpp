@@ -2,13 +2,17 @@
 
 #include <vector>
 
+#include "core/event_queue.hpp"
 #include "sim/cpu.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace m2::sim {
 namespace {
+
+using core::EventQueue;
+using core::kInvalidTimer;
+using core::TimerHandle;
 
 // ---------------------------------------------------------------------
 // EventQueue
@@ -35,7 +39,7 @@ TEST(EventQueue, FifoForEqualTimestamps) {
 TEST(EventQueue, CancelPreventsExecution) {
   EventQueue q;
   bool fired = false;
-  const EventId id = q.schedule(10, [&] { fired = true; });
+  const TimerHandle id = q.schedule(10, [&] { fired = true; });
   q.cancel(id);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.next_time(), kTimeNever);
@@ -44,7 +48,7 @@ TEST(EventQueue, CancelPreventsExecution) {
 
 TEST(EventQueue, CancelAfterFireIsNoop) {
   EventQueue q;
-  const EventId id = q.schedule(10, [] {});
+  const TimerHandle id = q.schedule(10, [] {});
   q.pop().second();
   q.cancel(id);  // must not corrupt the queue
   q.schedule(20, [] {});
@@ -55,17 +59,39 @@ TEST(EventQueue, CancelAfterFireIsNoop) {
 TEST(EventQueue, CancelUnknownIdIsNoop) {
   EventQueue q;
   q.cancel(123456);
-  q.cancel(kInvalidEvent);
+  q.cancel(kInvalidTimer);
   EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, NextTimeSkipsCancelled) {
   EventQueue q;
-  const EventId a = q.schedule(10, [] {});
+  const TimerHandle a = q.schedule(10, [] {});
   q.schedule(20, [] {});
   q.cancel(a);
   EXPECT_EQ(q.next_time(), 20);
   EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(EventQueue, RunDueLeavesWhatItsCallbacksArmForTheNextPass) {
+  // A runtime node's timer pass: the timers due at the clock reading fire
+  // in (deadline, arm order); one a callback arms waits for the next pass,
+  // even at zero delay, so the node drains its inbox in between.
+  EventQueue q;
+  std::vector<int> fired;
+  q.schedule(30, [&] { fired.push_back(3); });
+  q.schedule(10, [&] { fired.push_back(1); });
+  q.schedule(20, [&] {
+    fired.push_back(2);
+    q.schedule(20, [&] { fired.push_back(4); });
+  });
+  q.schedule(10, [&] { fired.push_back(11); });
+  EXPECT_EQ(q.run_due(5), 0u);
+  EXPECT_EQ(q.run_due(20), 3u);
+  EXPECT_EQ(fired, (std::vector<int>{1, 11, 2}));
+  EXPECT_EQ(q.next_time(), 20);
+  EXPECT_EQ(q.run_due(20), 1u);
+  EXPECT_EQ(fired, (std::vector<int>{1, 11, 2, 4}));
+  EXPECT_EQ(q.next_time(), 30);
 }
 
 // ---------------------------------------------------------------------

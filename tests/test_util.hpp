@@ -54,10 +54,10 @@ class ScriptedContext final : public core::Context {
   void broadcast(net::PayloadPtr p, bool) override {
     sent.push_back({kNoNode, std::move(p)});
   }
-  sim::EventId set_timer(sim::Time delay, sim::InlineFn fn) override {
+  core::TimerHandle set_timer(sim::Time delay, core::TimerFn fn) override {
     return sim.after(delay, std::move(fn));
   }
-  void cancel_timer(sim::EventId id) override { sim.cancel(id); }
+  void cancel_timer(core::TimerHandle id) override { sim.cancel(id); }
   void deliver(const core::Command& c) override { delivered.push_back(c); }
   void committed(const core::Command& c) override { committed_.push_back(c); }
 
