@@ -27,7 +27,7 @@
 #include <cstdio>
 
 #include "alloc_counter.hpp"
-#include "bench_common.hpp"
+#include "figures.hpp"
 #include "harness/cluster.hpp"
 #include "m2paxos/m2paxos.hpp"
 #include "stats/export.hpp"

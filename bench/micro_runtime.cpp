@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "alloc_counter.hpp"
-#include "bench_common.hpp"
+#include "figures.hpp"
 #include "m2paxos/messages.hpp"
 #include "net/serde.hpp"
 #include "runtime/clock.hpp"

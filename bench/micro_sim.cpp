@@ -16,7 +16,7 @@
 #include <cstdio>
 
 #include "alloc_counter.hpp"
-#include "bench_common.hpp"
+#include "figures.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "stats/export.hpp"

@@ -30,11 +30,6 @@ SaturationResult find_max_throughput(
   return out;
 }
 
-const std::vector<int>& paper_node_counts() {
-  static const std::vector<int> counts = {3, 5, 7, 11, 25, 49};
-  return counts;
-}
-
 ExperimentConfig default_config(core::Protocol protocol, int n_nodes,
                                 std::uint64_t seed) {
   ExperimentConfig cfg;

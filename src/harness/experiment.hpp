@@ -31,9 +31,6 @@ SaturationResult find_max_throughput(
     const std::function<std::unique_ptr<wl::Workload>()>& make_workload,
     const std::vector<int>& inflight_levels = {8, 32, 128});
 
-/// Node counts used throughout the paper's scalability figures.
-const std::vector<int>& paper_node_counts();
-
 /// Default experiment configuration matching the paper's testbed settings
 /// (batching on, 16 cores, EC2-like network).
 ExperimentConfig default_config(core::Protocol protocol, int n_nodes,

@@ -6,8 +6,8 @@
 
 namespace m2::harness {
 
-/// Fixed-width text table used by the bench binaries to print the rows and
-/// series of each reproduced figure.
+/// Fixed-width text table in which the figure printer (bench/figures.hpp)
+/// prints the rows and series of each reproduced figure.
 class Table {
  public:
   explicit Table(std::string title) : title_(std::move(title)) {}

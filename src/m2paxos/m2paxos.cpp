@@ -488,16 +488,19 @@ void M2PaxosReplica::arm_batch_window() {
   if (batch_timer_ != core::kInvalidTimer) return;
   batch_timer_ = ctx_.set_timer(bcfg_.batch_window, [this] {
     batch_timer_ = core::kInvalidTimer;
-    m_inc(stats::Counter::kBatchFlushWindow);
-    flush_batches(/*force=*/true);
+    // An expiry that finds the pipeline full sends nothing and re-arms.
+    if (flush_batches(/*force=*/true))
+      m_inc(stats::Counter::kBatchFlushWindow);
   });
 }
 
-void M2PaxosReplica::flush_batches(bool force) {
+bool M2PaxosReplica::flush_batches(bool force) {
+  bool sent = false;
   while (batch_inflight_ < bcfg_.pipeline_depth && !batch_queue_.empty() &&
          (force || batch_queue_.size() >= bcfg_.batch_max_commands ||
           batch_queued_bytes_ >= bcfg_.batch_max_bytes)) {
     if (!send_batched_round()) break;
+    sent = true;
   }
   if (batch_queue_.empty()) {
     batch_queued_bytes_ = 0;
@@ -508,6 +511,7 @@ void M2PaxosReplica::flush_batches(bool force) {
     // the window so they are never stranded waiting for the next enqueue.
     arm_batch_window();
   }
+  return sent;
 }
 
 bool M2PaxosReplica::send_batched_round() {

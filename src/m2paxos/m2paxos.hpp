@@ -174,11 +174,11 @@ class M2PaxosReplica final : public core::Replica {
   void enqueue_batch(PendingCommand& pc);
   /// Closes and sends batched accept rounds while the pipeline has room.
   /// `force` flushes partial batches (window expiry / pipeline drain);
-  /// without it only full batches close.
-  void flush_batches(bool force);
+  /// without it only full batches close. True when a round went out.
+  bool flush_batches(bool force);
   /// Arms the batch window unless it is already armed: a partial batch
   /// waits at most batch_window before the timer force-flushes it (counted
-  /// as a window flush).
+  /// as a window flush when that sends a round).
   void arm_batch_window();
   /// Builds one accept round from the queue front (grouping commands by
   /// object into multi-command slots) and sends it. Returns false when

@@ -221,20 +221,23 @@ void MultiPaxosReplica::arm_batch_window() {
   if (batch_timer_ != core::kInvalidTimer) return;
   batch_timer_ = ctx_.set_timer(bcfg_.batch_window, [this] {
     batch_timer_ = core::kInvalidTimer;
-    m_inc(stats::Counter::kBatchFlushWindow);
-    flush_batch(/*force=*/true);
+    // Not counted when the expiry sends nothing: the pipeline is full, or
+    // a full-batch flush already emptied the buffer this window was armed
+    // for.
+    if (flush_batch(/*force=*/true)) m_inc(stats::Counter::kBatchFlushWindow);
   });
 }
 
-void MultiPaxosReplica::flush_batch(bool force) {
+bool MultiPaxosReplica::flush_batch(bool force) {
   if (leader_ != id_ || preparing_) {
     // Leadership moved with commands still queued: drop them — every
     // member's proposer retry re-forwards it to the current leader.
     for (const auto& c : batch_buf_) batch_queued_.erase(c.id);
     batch_buf_.clear();
     batch_bytes_ = 0;
-    return;
+    return false;
   }
+  bool sent = false;
   while (!batch_buf_.empty() && batch_inflight_ < bcfg_.pipeline_depth &&
          (force || batch_buf_.size() >= bcfg_.batch_max_commands ||
           batch_bytes_ >= bcfg_.batch_max_bytes)) {
@@ -262,10 +265,12 @@ void MultiPaxosReplica::flush_batch(bool force) {
         net::make_payload<Accept>(ballot_, slot, std::move(head),
                                   take > 1 ? std::move(batch) : nullptr),
         true);
+    sent = true;
   }
   // Pipeline full (or partial batch held back): the window timer closes
   // the remainder; commits re-enter here as in-flight slots settle.
   if (!batch_buf_.empty()) arm_batch_window();
+  return sent;
 }
 
 void MultiPaxosReplica::handle_accepted(const Accepted& msg) {

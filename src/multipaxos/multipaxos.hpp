@@ -195,9 +195,12 @@ class MultiPaxosReplica final : public core::Replica {
   void handle_propose(const Command& c);
   void lead(const Command& c);
   void enqueue_batch(const Command& c);
-  void flush_batch(bool force);
+  /// Sends batched rounds while the pipeline has room; true when one went
+  /// out.
+  bool flush_batch(bool force);
   /// Arms the batch window unless it is already armed; its expiry
-  /// force-flushes the queue and counts a window flush.
+  /// force-flushes the queue and counts a window flush when that sends a
+  /// round.
   void arm_batch_window();
   void handle_prepare(NodeId from, const Prepare& msg);
   void handle_promise(const Promise& msg);

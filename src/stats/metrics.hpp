@@ -52,7 +52,7 @@ enum class Counter : std::uint16_t {
   kBatchedCommands,
   kBatchFlushFull,      // command-count cap reached
   kBatchFlushBytes,     // byte cap reached
-  kBatchFlushWindow,    // batch window expired
+  kBatchFlushWindow,    // batch window expired and closed a batch
   kBatchFlushPipeline,  // pipeline slot freed by a settled round
   // Runtime transport: outbound messages dropped instead of sent (peer
   // unreachable, write failure, or per-peer queue over its byte cap).

@@ -251,6 +251,55 @@ TEST(M2PaxosUnit, ForwardedProposeGoesToOwner) {
   EXPECT_EQ(s.payload->kind(), net::kKindM2Paxos + 1);  // Propose
 }
 
+TEST(M2PaxosUnit, ReArmedBatchWindowCountsTheFlushItCloses) {
+  ScriptedContext ctx{kRngSeed};
+  core::ClusterConfig cfg = Fixture::make_cfg();
+  cfg.batching.enabled = true;
+  cfg.batching.pipeline_depth = 1;
+  const core::Time window = cfg.batching.batch_window;
+  M2PaxosReplica replica(0, cfg, ctx);
+  replica.set_default_owner(core::OwnerMap::divide(1000));
+  const auto accepts = [&] {
+    return std::count_if(ctx.sent.begin(), ctx.sent.end(), [](const auto& s) {
+      return s.payload->kind() == net::kKindM2Paxos + 2;
+    });
+  };
+  const auto window_flushes = [&] {
+    return ctx.registry.counter(stats::Counter::kBatchFlushWindow);
+  };
+
+  replica.propose(cmd(0, 1, {7}));
+  ctx.sim.run_until(window);  // closes the first round; the pipeline is full
+  ASSERT_EQ(accepts(), 1);
+  EXPECT_EQ(window_flushes(), 1u);
+  const auto* first =
+      static_cast<const Accept*>(find_last(ctx, net::kKindM2Paxos + 2));
+
+  // The window expires with the pipeline full: the second command is held
+  // back, the flush re-arms the window, and the expiry is not counted.
+  replica.propose(cmd(0, 2, {8}));
+  ctx.sim.run_until(2 * window);
+  ASSERT_EQ(accepts(), 1);
+  EXPECT_EQ(window_flushes(), 1u);
+
+  // The first round decides: the pipeline has room, but a partial batch
+  // waits.
+  AckAccept ack;
+  ack.req_id = first->req_id;
+  ack.ack = true;
+  for (NodeId from : {0u, 1u}) {
+    ack.acceptor = from;
+    replica.on_message(from, ack);
+  }
+  ASSERT_EQ(ctx.committed_.size(), 1u);
+  ASSERT_EQ(accepts(), 1);
+
+  // The re-armed window closes the held-back batch and counts it.
+  ctx.sim.run_until(3 * window);
+  EXPECT_EQ(accepts(), 2);
+  EXPECT_EQ(window_flushes(), 2u);
+}
+
 // --- Crossing resolution (DESIGN.md §5a #6) -------------------------------
 
 /// Runs the simulator past the crossing-check interval, so a check armed by

@@ -138,16 +138,22 @@ TEST(MultiPaxosUnit, ReArmedBatchWindowCountsTheFlushItCloses) {
     return a == nullptr ? 0 : a->slot;
   };
 
+  const auto window_flushes = [&] {
+    return ctx.registry.counter(stats::Counter::kBatchFlushWindow);
+  };
+
   const auto c1 = cmd(0, 1, {1});
   leader.propose(c1);
   ctx.sim.run_until(window);  // closes slot 1; the pipeline is now full
   ASSERT_EQ(last_accept_slot(), 1u);
+  EXPECT_EQ(window_flushes(), 1u);
 
-  // The window expires with the pipeline full: c2 is held back and the
-  // flush re-arms the window.
+  // The window expires with the pipeline full: c2 is held back, the flush
+  // re-arms the window, and the expiry that closed nothing is not counted.
   leader.propose(cmd(0, 2, {2}));
   ctx.sim.run_until(2 * window);
   ASSERT_EQ(last_accept_slot(), 1u);
+  EXPECT_EQ(window_flushes(), 1u);
 
   // Slot 1 commits: the pipeline has room, but a partial batch waits.
   leader.on_message(0, Accept(0, 1, c1));
@@ -163,12 +169,27 @@ TEST(MultiPaxosUnit, ReArmedBatchWindowCountsTheFlushItCloses) {
   ASSERT_EQ(last_accept_slot(), 1u);
 
   // The re-armed window closes the held-back batch and counts it.
-  const std::uint64_t before =
-      ctx.registry.counter(stats::Counter::kBatchFlushWindow);
   ctx.sim.run_until(3 * window);
   EXPECT_EQ(last_accept_slot(), 2u);
-  EXPECT_EQ(ctx.registry.counter(stats::Counter::kBatchFlushWindow),
-            before + 1);
+  EXPECT_EQ(window_flushes(), 2u);
+}
+
+TEST(MultiPaxosUnit, WindowEmptiedByAFullBatchIsNotCounted) {
+  ScriptedContext ctx{kRngSeed};
+  core::ClusterConfig cfg = cfg3();
+  cfg.batching.enabled = true;
+  cfg.batching.batch_max_commands = 2;
+  const core::Time window = cfg.batching.batch_window;
+  MultiPaxosReplica leader(0, cfg, ctx);
+
+  // The first command arms the window; the second fills the batch, which
+  // closes at once and leaves that window armed over an empty buffer.
+  leader.propose(cmd(0, 1, {1}));
+  leader.propose(cmd(0, 2, {2}));
+  ASSERT_EQ(ctx.registry.counter(stats::Counter::kBatchFlushFull), 1u);
+  ctx.sim.run_until(window);
+  EXPECT_EQ(ctx.registry.counter(stats::Counter::kBatchedRounds), 1u);
+  EXPECT_EQ(ctx.registry.counter(stats::Counter::kBatchFlushWindow), 0u);
 }
 
 }  // namespace

@@ -1,17 +1,22 @@
 // m2bench — command-line experiment runner.
 //
 // Runs one simulated-cluster experiment with everything configurable from
-// flags and prints a single result row (or CSV with --csv for scripting).
+// flags and prints a single result row (or CSV with --csv for scripting),
+// or regenerates one of the paper's figures or the ablations (--figure;
+// M2_BENCH_QUICK=1 selects the reduced sweep).
 //
 //   m2bench --protocol m2paxos --nodes 11 --locality 90 --clients 64
 //   m2bench --protocol epaxos --tpcc --nodes 5 --remote 15 --csv
 //   m2bench --protocol multipaxos --nodes 49 --no-batching --measure-ms 200
+//   m2bench --figure fig2
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <memory>
 #include <string>
 
+#include "figures.hpp"
 #include "harness/experiment.hpp"
 #include "stats/export.hpp"
 #include "workload/synthetic.hpp"
@@ -42,6 +47,7 @@ struct Options {
   bool csv = false;
   bool json = false;
   bool metrics = true;
+  const char* figure = nullptr;  // --figure NAME
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -66,7 +72,9 @@ struct Options {
       "  --no-batching        disable network batching\n"
       "  --no-metrics         disable the metrics registries (overhead A/B)\n"
       "  --csv                machine-readable output\n"
-      "  --json               m2bench-v1 JSON document on stdout\n",
+      "  --json               m2bench-v1 JSON document on stdout\n"
+      "  --figure NAME        paper figure or ablation: fig1..fig8, a1..a5\n"
+      "                       (takes no other flag)\n",
       argv0);
   std::exit(2);
 }
@@ -121,18 +129,35 @@ Options parse(int argc, char** argv) {
       opt.csv = true;
     } else if (flag == "--json") {
       opt.json = true;
+    } else if (flag == "--figure") {
+      opt.figure = need_value(i);
     } else {
       usage(argv[0]);
     }
   }
   if (opt.nodes < 1 || opt.clients < 0 || opt.inflight < 1) usage(argv[0]);
+  if (opt.figure != nullptr && argc != 3) usage(argv[0]);
   return opt;
+}
+
+int figure_main(const char* name) {
+  const auto figure = bench::find_figure(name, bench::quick_mode());
+  if (!figure) {
+    std::fprintf(stderr, "m2bench: unknown figure '%s'; one of:", name);
+    for (const auto& n : bench::figure_names())
+      std::fprintf(stderr, " %s", n.c_str());
+    std::fputc('\n', stderr);
+    return 2;
+  }
+  bench::print_figure(*figure, bench::run_figure(*figure), std::cout);
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
+  if (opt.figure != nullptr) return figure_main(opt.figure);
 
   harness::ExperimentConfig cfg;
   cfg.protocol = opt.protocol;
