@@ -569,12 +569,7 @@ ExperimentResult measure(const Cell& c) {
                       c.workload);
   };
   if (c.levels.empty()) return harness::run_experiment(c.cfg, *make());
-  auto levels =
-      harness::find_max_throughput(c.cfg, make, c.levels).all_levels;
-  // The best level: the first with the highest throughput.
-  return std::move(*std::max_element(
-      levels.begin(), levels.end(),
-      [](const auto& a, const auto& b) { return tput(a) < tput(b); }));
+  return harness::find_max_throughput(c.cfg, make, c.levels);
 }
 
 }  // namespace

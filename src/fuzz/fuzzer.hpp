@@ -9,7 +9,6 @@
 #include "core/config.hpp"
 #include "fuzz/fault_schedule.hpp"
 #include "fuzz/safety_auditor.hpp"
-#include "workload/synthetic.hpp"
 
 namespace m2::fuzz {
 
@@ -18,11 +17,11 @@ namespace m2::fuzz {
 /// network jitter stream.
 struct Case {
   core::Protocol protocol = core::Protocol::kM2Paxos;
-  /// kSim runs on the deterministic simulator (fuzz::run_case): identical
-  /// cases give identical results. kLoopback / kTcp run a real threaded
-  /// cluster (runtime::run_case, runtime/chaos.hpp): the schedule then also
-  /// draws the runtime-only fault kinds, and thread interleaving makes the
-  /// trace, not the injected faults, vary from run to run.
+  /// kSim runs on the deterministic simulator: identical cases give
+  /// identical results. kLoopback / kTcp run a real threaded cluster: the
+  /// schedule then also draws the runtime-only fault kinds, and thread
+  /// interleaving makes the trace, not the injected faults, vary from run
+  /// to run. run_case drives all three.
   core::Backend backend = core::Backend::kSim;
   int n_nodes = 5;
   std::uint64_t seed = 1;
@@ -78,28 +77,10 @@ std::vector<FaultAction> schedule_for(const Case& c);
 std::vector<FaultAction> keep_episodes(std::vector<FaultAction> schedule,
                                        const std::vector<int>& episodes);
 
-/// A schedule that can silently disappear individual messages (drop a
-/// decide broadcast, isolate a node while a decision happens, kill what sat
-/// in a reset connection, make a receiver drop a corrupted stream) leaves
-/// correct-but-unlucky nodes with no way to notice the gap unless later
-/// traffic exposes it. The strong liveness checks only hold under
-/// crash/latency/duplication/throttle faults, where every broadcast that is
-/// sent reaches every up node.
-bool schedule_is_lossy(const std::vector<FaultAction>& schedule);
-
-/// The workload and cluster configuration every backend runs a case with.
-wl::SyntheticConfig workload_for(const Case& c);
-core::ClusterConfig cluster_for(const Case& c);
-
-/// Ends a run whose cluster has healed, drained and stopped: picks the
-/// liveness checks (downgraded when `schedule` is lossy or `observed_loss`),
-/// finalizes the auditor and reports its verdict and counters.
-Result finish(SafetyAuditor& auditor, const Case& c,
-              std::vector<FaultAction> schedule, bool observed_loss);
-
-/// Executes one case on the simulator (c.backend must be kSim): builds a
-/// cluster from the seed, applies the fault schedule while open-loop
-/// clients load all nodes, heals, drains, audits. Deterministic.
+/// Executes one case on its backend: builds a cluster from the seed,
+/// applies the fault schedule at its times (virtual on the simulator, wall
+/// time since start on the runtime) while every node is under load, heals,
+/// drains, stops and audits. Deterministic on the simulator.
 Result run_case(const Case& c);
 
 using RunFn = std::function<Result(const Case&)>;

@@ -41,11 +41,13 @@ void SafetyAuditor::violation(core::Time at, std::string what) {
 
 void SafetyAuditor::on_propose(core::Time /*at*/, NodeId /*n*/,
                                const core::Command& c) {
+  const std::lock_guard<std::mutex> lock(mu_);
   proposed_.insert(c.id);
 }
 
 void SafetyAuditor::on_decided(core::Time at, NodeId n, core::ObjectId l,
                                core::Instance in, const core::Command& c) {
+  const std::lock_guard<std::mutex> lock(mu_);
   ++decisions_seen_;
   const auto key = std::make_pair(l, in);
   const auto [it, inserted] = decisions_.try_emplace(key, SlotDecision{c.id, n});
@@ -62,6 +64,7 @@ void SafetyAuditor::on_decided(core::Time at, NodeId n, core::ObjectId l,
 
 void SafetyAuditor::on_ownership(core::Time at, NodeId n, core::ObjectId l,
                                  core::Epoch e, NodeId owner, bool acquired) {
+  const std::lock_guard<std::mutex> lock(mu_);
   const auto [it, inserted] = epochs_.try_emplace(std::make_pair(n, l), e);
   if (!inserted) {
     if (e < it->second) {
@@ -87,6 +90,7 @@ void SafetyAuditor::on_ownership(core::Time at, NodeId n, core::ObjectId l,
 
 void SafetyAuditor::on_deliver(core::Time at, NodeId n,
                                const core::Command& c) {
+  const std::lock_guard<std::mutex> lock(mu_);
   ++deliveries_seen_;
   if (!c.noop && proposed_.count(c.id) == 0) {
     std::ostringstream os;
@@ -104,10 +108,12 @@ void SafetyAuditor::on_deliver(core::Time at, NodeId n,
 
 void SafetyAuditor::on_committed(core::Time /*at*/, NodeId n,
                                  const core::Command& c) {
+  const std::lock_guard<std::mutex> lock(mu_);
   if (!c.noop) committed_.try_emplace(c.id, n);
 }
 
 void SafetyAuditor::on_crash(core::Time /*at*/, NodeId n) {
+  const std::lock_guard<std::mutex> lock(mu_);
   ever_crashed_.insert(n);
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -59,6 +60,11 @@ LivenessChecks default_checks(core::Protocol protocol);
 ///  - eventual delivery: every command acknowledged as committed is
 ///    delivered at every never-crashed node once all faults healed;
 ///  - convergence: never-crashed nodes deliver identical command sets.
+///
+/// The callbacks may arrive concurrently: runtime nodes call in from their
+/// own threads, so each one that touches state holds one mutex. finalize()
+/// and the accessors take no lock; call them once the run has stopped (the
+/// runtime's node threads are joined).
 class SafetyAuditor final : public core::ClusterObserver {
  public:
   explicit SafetyAuditor(core::Protocol protocol, int n_nodes);
@@ -93,6 +99,7 @@ class SafetyAuditor final : public core::ClusterObserver {
  private:
   void violation(core::Time at, std::string what);
 
+  std::mutex mu_;  // serializes the observer callbacks
   core::Protocol protocol_;
   int n_nodes_;
   std::vector<std::string> violations_;

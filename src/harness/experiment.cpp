@@ -1,5 +1,7 @@
 #include "harness/experiment.hpp"
 
+#include <optional>
+
 namespace m2::harness {
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg,
@@ -8,26 +10,21 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   return cluster.run();
 }
 
-SaturationResult find_max_throughput(
+ExperimentResult find_max_throughput(
     const ExperimentConfig& base,
     const std::function<std::unique_ptr<wl::Workload>()>& make_workload,
     const std::vector<int>& inflight_levels) {
-  SaturationResult out;
+  std::optional<ExperimentResult> best;
   for (int level : inflight_levels) {
     ExperimentConfig cfg = base;
     cfg.load.max_inflight_per_node = level;
     cfg.load.clients_per_node = level;
     auto workload = make_workload();
     ExperimentResult r = run_experiment(cfg, *workload);
-    if (r.committed_per_sec > out.max_throughput) {
-      out.max_throughput = r.committed_per_sec;
-      out.median_latency_ms =
-          static_cast<double>(r.commit_latency.median()) / 1e6;
-      out.best_inflight = level;
-    }
-    out.all_levels.push_back(std::move(r));
+    if (!best || r.committed_per_sec > best->committed_per_sec)
+      best = std::move(r);
   }
-  return out;
+  return best ? std::move(*best) : ExperimentResult{};
 }
 
 ExperimentConfig default_config(core::Protocol protocol, int n_nodes,

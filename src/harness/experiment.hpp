@@ -13,20 +13,13 @@ namespace m2::harness {
 ExperimentResult run_experiment(const ExperimentConfig& cfg,
                                 wl::Workload& workload);
 
-/// Outcome of a saturation search (paper Fig. 1: "we loaded the system up
-/// to its saturation and collected the throughput right before that
-/// point").
-struct SaturationResult {
-  double max_throughput = 0;      // commands/second
-  double median_latency_ms = 0;   // at the best load level
-  int best_inflight = 0;
-  std::vector<ExperimentResult> all_levels;
-};
-
-/// Sweeps the offered load (in-flight cap per node) upward and returns the
-/// best throughput observed. `make_workload` builds a fresh, identically
-/// seeded workload per level so levels are comparable.
-SaturationResult find_max_throughput(
+/// Saturation search (paper Fig. 1: "we loaded the system up to its
+/// saturation and collected the throughput right before that point"):
+/// sweeps the offered load (in-flight cap per node) upward and returns the
+/// run of the first level with the highest committed_per_sec.
+/// `make_workload` builds a fresh, identically seeded workload per level so
+/// levels are comparable.
+ExperimentResult find_max_throughput(
     const ExperimentConfig& base,
     const std::function<std::unique_ptr<wl::Workload>()>& make_workload,
     const std::vector<int>& inflight_levels = {8, 32, 128});

@@ -17,8 +17,8 @@ namespace m2::runtime {
 
 /// Deterministic fault-injection decorator over any Transport (loopback or
 /// TCP): the runtime counterpart of the simulator's network faults, driven
-/// by the same fuzz::FaultAction vocabulary (chaos.cpp maps a schedule's
-/// actions onto these controls at real-time offsets).
+/// by the same fuzz::FaultAction vocabulary (fuzz::run_case maps a
+/// schedule's actions onto these controls at real-time offsets).
 ///
 /// Faults it can express on the send path, per directed link:
 ///  - drop: link down, partition (exactly one endpoint inside the group),

@@ -40,8 +40,8 @@ struct RuntimeConfig {
   /// Optional trace observer (same interface the simulator harness feeds —
   /// the SafetyAuditor plugs in here). Called from node threads and from
   /// whichever threads drive propose()/crash()/recover(), concurrently:
-  /// the observer must be thread-safe (wrap it in a lock; chaos.cpp's
-  /// runner does). Must outlive the Runtime.
+  /// the observer must be thread-safe (fuzz::SafetyAuditor locks its
+  /// callbacks). Must outlive the Runtime.
   core::ClusterObserver* observer = nullptr;
 };
 

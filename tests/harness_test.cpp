@@ -87,16 +87,19 @@ TEST(Harness, AuditDetectsNothingOnHealthyRun) {
 TEST(Harness, SaturationSearchFindsAPlateau) {
   auto base = quick_cfg(core::Protocol::kM2Paxos, 3);
   base.measure = 30 * sim::kMillisecond;
-  const auto sat = find_max_throughput(
-      base,
-      [] {
-        return std::make_unique<wl::SyntheticWorkload>(
-            wl::SyntheticConfig{3, 1000, 1.0, 0.0, 16, 1});
-      },
-      {2, 16, 64});
-  EXPECT_GT(sat.max_throughput, 0.0);
-  EXPECT_GE(sat.best_inflight, 16);  // tiny load can't be the max
-  EXPECT_EQ(sat.all_levels.size(), 3u);
+  const auto make = [] {
+    return std::make_unique<wl::SyntheticWorkload>(
+        wl::SyntheticConfig{3, 1000, 1.0, 0.0, 16, 1});
+  };
+  const auto best = find_max_throughput(base, make, {2, 16, 64});
+  EXPECT_GT(best.committed_per_sec, 0.0);
+
+  // A tiny load can't be the max: in-flight 2 commits strictly less.
+  auto tiny = base;
+  tiny.load.max_inflight_per_node = 2;
+  tiny.load.clients_per_node = 2;
+  EXPECT_GT(best.committed_per_sec,
+            run_experiment(tiny, *make()).committed_per_sec);
 }
 
 TEST(Harness, CpuUtilizationReported) {

@@ -1,8 +1,8 @@
 // Chaos-hardened runtime: peer health state machine and backoff bounds
 // (driven with a deterministic clock), connect-timeout and reconnect-storm
 // behavior over real sockets, the ChaosTransport fault decorator, transport
-// option validation, and the chaos soak runner end to end (including the
-// --inject-bug detection proof).
+// option validation, and fuzz::run_case end to end on loopback and TCP
+// (including the --inject-bug detection proof).
 //
 // Labeled `runtime` like runtime_test.cpp — CI runs this binary under TSan.
 #include <gtest/gtest.h>
@@ -19,9 +19,9 @@
 #include <utility>
 #include <vector>
 
+#include "fuzz/fuzzer.hpp"
 #include "m2/cluster.hpp"
 #include "m2paxos/messages.hpp"
-#include "runtime/chaos.hpp"
 #include "runtime/chaos_transport.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/peer_health.hpp"
@@ -562,13 +562,14 @@ TEST(ChaosTransportUnit, InboxToleratesDuplicatedAndReorderedTraffic) {
   rt.stop();
 }
 
-// ------------------------------------------------------------ soak runner
+// ------------------------------------------------ fault cases (run_case)
 
 fuzz::Case runtime_case(std::uint64_t seed, int nodes, core::Time horizon,
-                        core::Time drain, int commands) {
+                        core::Time drain, int commands,
+                        core::Backend backend = core::Backend::kLoopback) {
   fuzz::Case c;
   c.protocol = core::Protocol::kM2Paxos;
-  c.backend = core::Backend::kLoopback;
+  c.backend = backend;
   c.n_nodes = nodes;
   c.seed = seed;
   c.horizon = horizon;
@@ -577,15 +578,24 @@ fuzz::Case runtime_case(std::uint64_t seed, int nodes, core::Time horizon,
   return c;
 }
 
-TEST(ChaosRunner, CleanSeedCommitsAndPassesAuditor) {
-  const fuzz::Result result = runtime::run_case(runtime_case(
-      1, 4, 250 * core::kMillisecond, 1500 * core::kMillisecond, 60));
+void expect_clean_seed_commits(core::Backend backend) {
+  const fuzz::Result result = fuzz::run_case(
+      runtime_case(1, 4, 250 * core::kMillisecond, 1500 * core::kMillisecond,
+                   60, backend));
   EXPECT_TRUE(result.ok) << (result.violations.empty()
                                  ? "no violations"
                                  : result.violations.front());
   EXPECT_GT(result.proposals, 0u);
   EXPECT_GT(result.committed, 0u);
   EXPECT_FALSE(result.schedule.empty());
+}
+
+TEST(ChaosRunner, CleanSeedCommitsAndPassesAuditor) {
+  expect_clean_seed_commits(core::Backend::kLoopback);
+}
+
+TEST(ChaosRunner, CleanSeedCommitsAndPassesAuditorOverTcp) {
+  expect_clean_seed_commits(core::Backend::kTcp);
 }
 
 TEST(ChaosRunner, DetectsInjectedEpochSafetyBug) {
@@ -598,7 +608,7 @@ TEST(ChaosRunner, DetectsInjectedEpochSafetyBug) {
     fuzz::Case c = runtime_case(seed, 5, 300 * core::kMillisecond,
                                 1500 * core::kMillisecond, 100);
     c.inject_bug = true;
-    caught = !runtime::run_case(c).ok;
+    caught = !fuzz::run_case(c).ok;
   }
   EXPECT_TRUE(caught) << "injected epoch bug evaded the auditor on 5 seeds";
 }
@@ -606,9 +616,9 @@ TEST(ChaosRunner, DetectsInjectedEpochSafetyBug) {
 TEST(ChaosRunner, KeepEpisodesRestrictsTheSchedule) {
   fuzz::Case c = runtime_case(2, 4, 200 * core::kMillisecond,
                               1200 * core::kMillisecond, 40);
-  const fuzz::Result full = runtime::run_case(c);
+  const fuzz::Result full = fuzz::run_case(c);
   c.schedule.emplace();  // keep no episode: a calm run
-  const fuzz::Result calm = runtime::run_case(c);
+  const fuzz::Result calm = fuzz::run_case(c);
   EXPECT_TRUE(calm.ok);
   EXPECT_TRUE(calm.schedule.empty());
   EXPECT_LT(calm.schedule.size(), full.schedule.size());

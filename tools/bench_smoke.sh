@@ -9,20 +9,15 @@
 # the JSON is malformed. Every bench runs even after an earlier one
 # fails, and any failure fails the script.
 #
-# Usage: tools/bench_smoke.sh [build-dir [ON|OFF]]
+# Usage: tools/bench_smoke.sh [build-dir]
 #   build-dir: an existing CMake build directory to reuse (its configured
 #              build type is kept, as under CTest); when omitted, a
 #              dedicated Release tree is configured at build-bench-smoke/.
-#   ON|OFF:    whether that tree was configured with M2_RUNTIME (default
-#              ON). A simulator-only tree (OFF) has no micro_runtime, so it
-#              is not built, run or checked there.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$repo/build-bench-smoke}"
-runtime="${2:-ON}"
-benches=(micro_sim micro_protocol)
-if [[ "$runtime" == "ON" ]]; then benches+=(micro_runtime); fi
+benches=(micro_sim micro_protocol micro_runtime)
 # Absolutize: the benches run from a scratch dir below.
 case "$build" in /*) ;; *) build="$(pwd)/$build" ;; esac
 
@@ -64,9 +59,7 @@ run_bench() {
 
 run_bench micro_sim 5 BENCH_sim.json
 run_bench micro_protocol 60 BENCH_protocol.json
-if [[ "$runtime" == "ON" ]]; then
-  run_bench micro_runtime 60 BENCH_runtime.json
-fi
+run_bench micro_runtime 60 BENCH_runtime.json
 
 if [[ $failures -ne 0 ]]; then
   echo "bench_smoke: $failures bench(es) failed" >&2
@@ -89,7 +82,6 @@ EOF
 
 # The runtime bench must report every wire-path mix: a silently missing
 # mix would unpin the runtime perf gate the same way.
-if [[ "$runtime" == "ON" ]]; then
 python3 - "$out/BENCH_runtime.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -99,6 +91,5 @@ for key in ("loopback_msgs_per_sec", "loopback_allocs_per_msg",
             "tcp_allocs_per_msg"):
     assert key in doc["results"], f"BENCH_runtime.json results missing {key}"
 EOF
-fi
 
 echo "bench_smoke: OK"

@@ -28,9 +28,6 @@
 
 #include "fuzz/fuzzer.hpp"
 #include "stats/json.hpp"
-#ifdef M2FUZZ_HAS_RUNTIME
-#include "runtime/chaos.hpp"
-#endif
 
 using namespace m2;
 
@@ -200,25 +197,7 @@ Options parse(int argc, char** argv) {
       opt.intensity < 1 || opt.intensity > 10 || opt.drain_ms < 0 ||
       opt.commands < 1 || opt.jobs < 0)
     usage(argv[0]);
-#ifndef M2FUZZ_HAS_RUNTIME
-  for (const core::Backend backend : opt.backends) {
-    if (backend != core::Backend::kSim) {
-      std::fprintf(stderr,
-                   "%s: --backend %s needs the threaded runtime; this build "
-                   "has it off (M2_RUNTIME=OFF)\n",
-                   argv[0], core::to_string(backend).c_str());
-      std::exit(2);
-    }
-  }
-#endif
   return opt;
-}
-
-fuzz::Result run(const fuzz::Case& c) {
-#ifdef M2FUZZ_HAS_RUNTIME
-  if (c.backend != core::Backend::kSim) return runtime::run_case(c);
-#endif
-  return fuzz::run_case(c);
 }
 
 std::string episode_list(const std::vector<int>& episodes) {
@@ -314,10 +293,10 @@ void run_sweep(std::vector<SweepCase>& cases, const Options& opt) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= cases.size()) return;
       SweepCase& sc = cases[i];
-      sc.result = run(sc.fuzz_case);
+      sc.result = fuzz::run_case(sc.fuzz_case);
       if (!sc.result.ok && opt.shrink && !opt.keep)
         sc.shrunk = fuzz::shrink_schedule(
-            sc.fuzz_case, sc.result, run,
+            sc.fuzz_case, sc.result, fuzz::run_case,
             defaults_for(sc.fuzz_case.backend).shrink_runs);
     }
   };
