@@ -62,7 +62,7 @@ std::string FaultAction::to_string() const {
       os << " n" << a << "->n" << b;
       break;
     case FaultKind::kThrottleSpike:
-      os << " n" << a << "->n" << b << " x" << value;
+      os << " n" << a << "->n" << b << " +" << value << "ms";
       break;
     case FaultKind::kPartition: {
       os << " {";
@@ -104,7 +104,7 @@ enum class Episode {
   kLoss,
   kLatency,
   kDup,
-  // Runtime-only (see ScheduleConfig::runtime_faults).
+  // Drawn only with ScheduleConfig::runtime_faults.
   kReset,
   kCorrupt,
   kThrottle

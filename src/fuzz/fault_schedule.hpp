@@ -23,12 +23,13 @@ enum class FaultKind : std::uint8_t {
   kLatencyClear,  // latency scale restored to 1
   kDupSpike,      // duplicate-delivery probability set to `value`
   kDupClear,      // duplicate-delivery probability restored to 0
-  // Runtime-only kinds (generated when ScheduleConfig::runtime_faults is
-  // set; the simulator's apply() ignores them): wire-level faults only a
-  // real connection can express.
+  // Generated only when ScheduleConfig::runtime_faults is set. Reset and
+  // corrupt are wire-level faults only a real connection can express (the
+  // simulator does nothing for them); a throttle applies on both
+  // substrates.
   kReset,          // one-shot: tear down the established connection a -> b
   kCorrupt,        // one-shot: corrupt the next frame on the wire a -> b
-  kThrottleSpike,  // slow peer: delivery a -> b delayed, scaled by `value`
+  kThrottleSpike,  // slow peer: `value` ms of extra one-way delay on a -> b
   kThrottleClear   // throttle on a -> b removed
 };
 
@@ -40,7 +41,8 @@ struct FaultAction {
   FaultKind kind = FaultKind::kHeal;
   NodeId a = kNoNode;           // victim node / link source
   NodeId b = kNoNode;           // link destination
-  double value = 0;             // loss probability / latency scale
+  double value = 0;             // loss/dup probability / latency scale /
+                                // throttle delay in ms
   std::vector<NodeId> group;    // partition side A
   /// Episode id: a disruptive action and its undo share one id. The
   /// shrinker and --keep replays drop or keep whole episodes, so every
@@ -60,9 +62,9 @@ struct ScheduleConfig {
   core::Time horizon = 300 * core::kMillisecond;
   /// 1..10: expected number of fault episodes per 100 ms of horizon.
   int intensity = 3;
-  /// Also generate runtime-only episodes (connection resets, wire
-  /// corruption, slow peers). Off for simulator schedules — the sim has no
-  /// connections to reset — so sim seeds keep their historical meaning.
+  /// Also generate connection resets, wire corruption and slow peers. Off
+  /// for simulator schedules — the sim has no connections to reset — so sim
+  /// seeds keep their historical meaning.
   bool runtime_faults = false;
 };
 

@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "harness/cluster.hpp"
+#include "net/link_faults.hpp"
 #include "runtime/chaos_transport.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/tcp_transport.hpp"
@@ -100,6 +101,59 @@ Result finish(SafetyAuditor& auditor, const Case& c,
   return result;
 }
 
+/// Applies one link fault to `faults`, under the same rules on both
+/// substrates. Crash, recover, reset and corrupt are not link faults: the
+/// substrate applies those itself (the simulator has no connection to
+/// reset or frame to corrupt, so there they do nothing).
+void apply_link_fault(net::LinkFaults& faults, const FaultAction& action) {
+  switch (action.kind) {
+    case FaultKind::kLinkDown:
+      faults.set_link(action.a, action.b, false);
+      break;
+    case FaultKind::kLinkUp:
+      faults.set_link(action.a, action.b, true);
+      break;
+    case FaultKind::kPartition:
+      faults.partition(action.group);
+      break;
+    case FaultKind::kHeal:
+      faults.heal();
+      break;
+    case FaultKind::kLossSpike:
+      faults.set_loss(action.value);
+      break;
+    case FaultKind::kLossClear:
+      faults.set_loss(0.0);
+      break;
+    case FaultKind::kLatencySpike:
+      faults.set_latency_scale(action.value);
+      break;
+    case FaultKind::kLatencyClear:
+      faults.set_latency_scale(1.0);
+      break;
+    case FaultKind::kDupSpike:
+      faults.set_duplication(action.value);
+      break;
+    case FaultKind::kDupClear:
+      faults.set_duplication(0.0);
+      break;
+    case FaultKind::kThrottleSpike:
+      faults.set_throttle(action.a, action.b,
+                          static_cast<core::Time>(
+                              action.value *
+                              static_cast<double>(core::kMillisecond)));
+      break;
+    case FaultKind::kThrottleClear:
+      faults.set_throttle(action.a, action.b, 0);
+      break;
+    case FaultKind::kCrash:
+    case FaultKind::kRecover:
+    case FaultKind::kReset:
+    case FaultKind::kCorrupt:
+      break;
+  }
+}
+
 // A substrate is what run_on drives a case through. Both have the same
 // members: start() returns a violation when the cluster cannot start;
 // advance_to(t) moves the case clock to `t` (never backwards) under load;
@@ -149,43 +203,8 @@ struct SimSubstrate {
       case FaultKind::kRecover:
         if (net.is_crashed(action.a)) cluster.recover(action.a);
         break;
-      case FaultKind::kLinkDown:
-        net.set_link(action.a, action.b, false);
-        break;
-      case FaultKind::kLinkUp:
-        net.set_link(action.a, action.b, true);
-        break;
-      case FaultKind::kPartition:
-        net.partition(action.group);
-        break;
-      case FaultKind::kHeal:
-        net.heal();
-        break;
-      case FaultKind::kLossSpike:
-        net.set_loss(action.value);
-        break;
-      case FaultKind::kLossClear:
-        net.set_loss(0.0);
-        break;
-      case FaultKind::kLatencySpike:
-        net.set_latency_scale(action.value);
-        break;
-      case FaultKind::kLatencyClear:
-        net.set_latency_scale(1.0);
-        break;
-      case FaultKind::kDupSpike:
-        net.set_duplication(action.value);
-        break;
-      case FaultKind::kDupClear:
-        net.set_duplication(0.0);
-        break;
-      case FaultKind::kReset:
-      case FaultKind::kCorrupt:
-      case FaultKind::kThrottleSpike:
-      case FaultKind::kThrottleClear:
-        // Runtime-only kinds: the simulator has no connections to reset or
-        // frames to corrupt. Generated only with runtime_faults set, which
-        // only the runtime backends request; ignore defensively.
+      default:
+        apply_link_fault(net.faults(), action);
         break;
     }
   }
@@ -194,10 +213,7 @@ struct SimSubstrate {
 
   void calm() {
     net::Network& net = cluster.network();
-    net.heal();
-    net.set_loss(0.0);
-    net.set_duplication(0.0);
-    net.set_latency_scale(1.0);
+    net.faults().clear();
     const int n = cluster.config().cluster.n_nodes;
     for (NodeId i = 0; i < static_cast<NodeId>(n); ++i)
       if (net.is_crashed(i)) cluster.recover(i);
@@ -221,16 +237,6 @@ core::Time real_now() {
 
 void sleep_ns(core::Time ns) {
   std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
-}
-
-/// Latency scale `value` (sim semantics: propagation multiplied by value)
-/// mapped onto an absolute hold-back: (value - 1) extra milliseconds per
-/// message, roughly a 1 ms base RTT scaled like the simulator scales its
-/// link latency.
-core::Time scale_to_delay(double value) {
-  if (value <= 1.0) return 0;
-  return static_cast<core::Time>((value - 1.0) *
-                                 static_cast<double>(core::kMillisecond));
 }
 
 /// A real-clock cluster. kLoopback: one in-process Runtime over
@@ -327,51 +333,17 @@ struct RuntimeSubstrate {
         crashed[action.a] = false;
         of(action.a).recover(action.a);
         break;
-      case FaultKind::kLinkDown:
-        for (auto* t : chaos) t->set_link(action.a, action.b, false);
-        break;
-      case FaultKind::kLinkUp:
-        for (auto* t : chaos) t->set_link(action.a, action.b, true);
-        break;
-      case FaultKind::kPartition:
-        for (auto* t : chaos) t->set_partition(action.group);
-        break;
-      case FaultKind::kHeal:
-        for (auto* t : chaos) t->heal();
-        break;
-      case FaultKind::kLossSpike:
-        for (auto* t : chaos) t->set_loss(action.value);
-        break;
-      case FaultKind::kLossClear:
-        for (auto* t : chaos) t->set_loss(0.0);
-        break;
-      case FaultKind::kLatencySpike:
-        for (auto* t : chaos) t->set_delay(scale_to_delay(action.value));
-        break;
-      case FaultKind::kLatencyClear:
-        for (auto* t : chaos) t->set_delay(0);
-        break;
-      case FaultKind::kDupSpike:
-        for (auto* t : chaos) t->set_duplication(action.value);
-        break;
-      case FaultKind::kDupClear:
-        for (auto* t : chaos) t->set_duplication(0.0);
-        break;
       case FaultKind::kReset:
         egress(action.a).inject_reset(action.b);
         break;
       case FaultKind::kCorrupt:
         egress(action.a).inject_corrupt(action.a, action.b);
         break;
-      case FaultKind::kThrottleSpike:
+      default:
         for (auto* t : chaos)
-          t->set_throttle(action.a, action.b,
-                          static_cast<core::Time>(
-                              action.value *
-                              static_cast<double>(core::kMillisecond)));
-        break;
-      case FaultKind::kThrottleClear:
-        for (auto* t : chaos) t->set_throttle(action.a, action.b, 0);
+          t->edit_faults([&](net::LinkFaults& faults) {
+            apply_link_fault(faults, action);
+          });
         break;
     }
   }

@@ -11,11 +11,12 @@ sim::Time LatencyModel::serialization(std::size_t bytes) const {
   return static_cast<sim::Time>(seconds * static_cast<double>(sim::kSecond));
 }
 
-sim::Time LatencyModel::one_way(std::size_t bytes, sim::Rng& rng) const {
+sim::Time LatencyModel::one_way(std::size_t bytes, sim::Rng& rng,
+                                double scale) const {
   const double jitter =
       cfg_.jitter_sigma > 0 ? rng.lognormal(1.0, cfg_.jitter_sigma) : 1.0;
   const auto base = static_cast<sim::Time>(
-      static_cast<double>(cfg_.propagation) * jitter * scale_);
+      static_cast<double>(cfg_.propagation) * jitter * scale);
   return std::max<sim::Time>(cfg_.jitter_floor, base) + serialization(bytes);
 }
 

@@ -26,22 +26,18 @@ class LatencyModel {
  public:
   explicit LatencyModel(LatencyConfig cfg) : cfg_(cfg) {}
 
-  /// One-way delay for a transmission of `bytes`, sampled with `rng`.
-  sim::Time one_way(std::size_t bytes, sim::Rng& rng) const;
+  /// One-way delay for a transmission of `bytes`, sampled with `rng`, its
+  /// propagation component multiplied by `scale` (a latency spike).
+  sim::Time one_way(std::size_t bytes, sim::Rng& rng,
+                    double scale = 1.0) const;
 
   /// Pure serialization time of `bytes` at the configured bandwidth.
   sim::Time serialization(std::size_t bytes) const;
-
-  /// Multiplies the propagation component of every subsequent sample
-  /// (fault injection: a latency spike). 1.0 restores the baseline.
-  void set_scale(double scale) { scale_ = scale; }
-  double scale() const { return scale_; }
 
   const LatencyConfig& config() const { return cfg_; }
 
  private:
   LatencyConfig cfg_;
-  double scale_ = 1.0;
 };
 
 }  // namespace m2::net

@@ -15,10 +15,10 @@ Network::Network(sim::Simulator& sim, NetworkConfig cfg, int n_nodes)
       cfg_(cfg),
       latency_(cfg.latency),
       rng_(sim.rng().split()),
+      faults_(n_nodes, cfg.loss_probability),
       delivery_(static_cast<std::size_t>(n_nodes)),
       nic_free_at_(static_cast<std::size_t>(n_nodes), 0),
       crashed_(static_cast<std::size_t>(n_nodes), 0),
-      link_down_(static_cast<std::size_t>(n_nodes) * n_nodes, 0),
       batches_(static_cast<std::size_t>(n_nodes) * n_nodes),
       last_arrival_(static_cast<std::size_t>(n_nodes) * n_nodes, 0),
       counters_(static_cast<std::size_t>(n_nodes)) {
@@ -27,27 +27,6 @@ Network::Network(sim::Simulator& sim, NetworkConfig cfg, int n_nodes)
 
 void Network::set_delivery(NodeId node, DeliveryFn fn) {
   delivery_[node] = std::move(fn);
-}
-
-bool Network::link_up(NodeId from, NodeId to) const {
-  return link_down_[link_index(from, to)] == 0;
-}
-
-void Network::set_link(NodeId from, NodeId to, bool up) {
-  link_down_[link_index(from, to)] = up ? 0 : 1;
-}
-
-void Network::partition(const std::vector<NodeId>& group_a) {
-  std::vector<char> in_a(delivery_.size(), 0);
-  for (NodeId n : group_a) in_a[n] = 1;
-  const int n = n_nodes();
-  for (NodeId i = 0; i < static_cast<NodeId>(n); ++i)
-    for (NodeId j = 0; j < static_cast<NodeId>(n); ++j)
-      set_link(i, j, in_a[i] == in_a[j]);
-}
-
-void Network::heal() {
-  std::fill(link_down_.begin(), link_down_.end(), 0);
 }
 
 void Network::set_crashed(NodeId node, bool crashed) {
@@ -183,18 +162,17 @@ sim::Time Network::transmit_time(NodeId from, NodeId to, std::size_t bytes,
   const sim::Time leave = std::max(sim_.now(), nic_free_at_[from]) + ser;
   nic_free_at_[from] = leave;
 
-  if (!link_up(from, to)) {
-    counters_[from].messages_dropped += n_messages;
-    return kDropped;
-  }
-  if (cfg_.loss_probability > 0 && rng_.chance(cfg_.loss_probability)) {
+  if (!faults_.link_up(from, to) || faults_.lose(rng_)) {
     counters_[from].messages_dropped += n_messages;
     return kDropped;
   }
 
   // Propagation is sampled once per transmission; size cost was already
-  // paid at the NIC, so only the propagation+jitter component remains.
-  sim::Time arrival = leave + latency_.one_way(0, rng_);
+  // paid at the NIC, so only the propagation+jitter component remains. A
+  // throttle adds its extra delay before the FIFO clamp.
+  sim::Time arrival = leave +
+                      latency_.one_way(0, rng_, faults_.latency_scale()) +
+                      faults_.throttle(from, to);
   if (cfg_.fifo_links) {
     sim::Time& last = last_arrival_[link_index(from, to)];
     arrival = std::max(arrival, last + 1);
@@ -207,8 +185,7 @@ void Network::transmit_one(Envelope env, std::size_t bytes) {
   if (crashed_[env.from]) return;
   const sim::Time arrival = transmit_time(env.from, env.to, bytes, 1);
   if (arrival == kDropped) return;
-  const bool duplicated = cfg_.duplicate_probability > 0 &&
-                          rng_.chance(cfg_.duplicate_probability);
+  const bool duplicated = faults_.duplicate(rng_);
   if (!duplicated) {
     sim_.at(arrival, [this, env = std::move(env)] { deliver_now(env.to, env); });
     return;
@@ -225,8 +202,7 @@ void Network::transmit(NodeId from, NodeId to, std::vector<Envelope> envelopes,
   if (crashed_[from]) return;
   const sim::Time arrival = transmit_time(from, to, bytes, envelopes.size());
   if (arrival == kDropped) return;
-  const bool duplicated = cfg_.duplicate_probability > 0 &&
-                          rng_.chance(cfg_.duplicate_probability);
+  const bool duplicated = faults_.duplicate(rng_);
 
   // A sender crash after the batch hit the wire does not unsend it (crash
   // semantics, not Byzantine) — deliver regardless of the sender's fate.

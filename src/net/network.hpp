@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "net/latency.hpp"
+#include "net/link_faults.hpp"
 #include "net/payload.hpp"
 #include "core/inline_fn.hpp"
 #include "sim/simulator.hpp"
@@ -29,13 +30,9 @@ struct NetworkConfig {
   std::size_t batch_max_messages = 64;
   std::size_t batch_max_bytes = 48 * 1024;
 
-  /// Independent drop probability per message (0 in the paper's runs;
-  /// used by fault-injection tests).
+  /// Independent drop probability per message at start (0 in the paper's
+  /// runs); the initial loss of faults().
   double loss_probability = 0.0;
-
-  /// Probability a transmission is delivered twice (at-least-once
-  /// semantics of a retransmitting transport); fault-injection only.
-  double duplicate_probability = 0.0;
 
   /// Enforce FIFO delivery per directed link, as a TCP connection would
   /// (jitter still varies per-transmission latency, but transmissions on
@@ -56,8 +53,9 @@ struct TrafficCounters {
 /// In-process simulated network connecting N nodes.
 ///
 /// Responsibilities: per-node egress NIC serialization (shared-bandwidth
-/// bottleneck), propagation latency with jitter, optional batching, message
-/// loss and partitions for fault injection, and traffic accounting.
+/// bottleneck), propagation latency with jitter, optional batching, the
+/// link faults of faults() (links, partitions, loss, duplication, latency
+/// scale, throttles), crashes, and traffic accounting.
 ///
 /// Delivery is via a callback per node, installed by the cluster harness,
 /// which routes the envelope through the destination node's CPU model.
@@ -77,13 +75,9 @@ class Network {
   void broadcast(NodeId from, PayloadPtr payload, bool include_self);
 
   // --- fault injection -----------------------------------------------
-  /// Makes the directed link from->to drop everything (or restores it).
-  void set_link(NodeId from, NodeId to, bool up);
-  /// Splits the cluster: nodes in `group_a` can only talk within the group,
-  /// everyone else only outside it.
-  void partition(const std::vector<NodeId>& group_a);
-  /// Removes all partitions/link failures.
-  void heal();
+  /// Every link fault; may be changed mid-run.
+  LinkFaults& faults() { return faults_; }
+  const LinkFaults& faults() const { return faults_; }
   /// Crashed nodes neither send nor receive.
   void set_crashed(NodeId node, bool crashed);
   bool is_crashed(NodeId node) const { return crashed_[node]; }
@@ -103,13 +97,6 @@ class Network {
   /// flushes any batches already open so their messages are not parked
   /// until a stale batch_window timer fires.
   void set_batching(bool on);
-  /// Adjusts the drop probability mid-run (fault-injection tests).
-  void set_loss(double p) { cfg_.loss_probability = p; }
-  /// Adjusts the duplicate-delivery probability mid-run.
-  void set_duplication(double p) { cfg_.duplicate_probability = p; }
-  /// Scales propagation latency mid-run (fault injection: latency spike).
-  void set_latency_scale(double s) { latency_.set_scale(s); }
-  double latency_scale() const { return latency_.scale(); }
 
  private:
   struct Batch {
@@ -121,7 +108,6 @@ class Network {
   std::size_t link_index(NodeId from, NodeId to) const {
     return static_cast<std::size_t>(from) * delivery_.size() + to;
   }
-  bool link_up(NodeId from, NodeId to) const;
   void enqueue(Envelope env);
   void flush(NodeId from, NodeId to);
   /// Reserves `from`'s NIC for `bytes` and returns the (jittered, FIFO-
@@ -141,10 +127,10 @@ class Network {
   NetworkConfig cfg_;
   LatencyModel latency_;
   sim::Rng rng_;
+  LinkFaults faults_;
   std::vector<DeliveryFn> delivery_;
   std::vector<sim::Time> nic_free_at_;
   std::vector<char> crashed_;
-  std::vector<char> link_down_;  // n*n matrix, 1 = down
   // Flat per-directed-link tables indexed by from * n_nodes + to: the
   // per-send tree lookups of the former std::map version dominated the
   // send path.

@@ -16,6 +16,15 @@ core::Time chaos_now() {
       .count();
 }
 
+/// The latency scale (the simulator multiplies propagation by it) read as
+/// an absolute hold-back: (scale - 1) extra milliseconds per message,
+/// roughly a 1 ms base RTT scaled like the simulator scales its links.
+core::Time scale_to_delay(double scale) {
+  if (scale <= 1.0) return 0;
+  return static_cast<core::Time>((scale - 1.0) *
+                                 static_cast<double>(core::kMillisecond));
+}
+
 }  // namespace
 
 ChaosTransport::ChaosTransport(std::unique_ptr<Transport> inner, int n_nodes,
@@ -23,10 +32,8 @@ ChaosTransport::ChaosTransport(std::unique_ptr<Transport> inner, int n_nodes,
     : inner_(std::move(inner)),
       n_(n_nodes),
       rng_(seed ^ 0x6368616f735f7478ull),
-      link_down_(static_cast<std::size_t>(n_nodes) * n_nodes, 0),
-      corrupt_drop_(static_cast<std::size_t>(n_nodes) * n_nodes, 0),
-      throttle_(static_cast<std::size_t>(n_nodes) * n_nodes, 0),
-      in_group_(static_cast<std::size_t>(n_nodes), 0) {}
+      faults_(n_nodes),
+      corrupt_drop_(static_cast<std::size_t>(n_nodes) * n_nodes, 0) {}
 
 ChaosTransport::~ChaosTransport() { stop(); }
 
@@ -71,55 +78,10 @@ void ChaosTransport::fold_metrics(stats::MetricsRegistry& reg) const {
           resets_.load(std::memory_order_relaxed));
 }
 
-void ChaosTransport::set_link(NodeId from, NodeId to, bool up) {
-  std::lock_guard<std::mutex> lock(mu_);
-  link_down_.at(link_index(from, to)) = up ? 0 : 1;
-}
-
-void ChaosTransport::set_partition(const std::vector<NodeId>& group) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::fill(in_group_.begin(), in_group_.end(), 0);
-  for (const NodeId n : group) in_group_.at(n) = 1;
-  partitioned_ = true;
-}
-
-void ChaosTransport::heal() {
-  std::lock_guard<std::mutex> lock(mu_);
-  partitioned_ = false;
-  std::fill(in_group_.begin(), in_group_.end(), 0);
-  std::fill(link_down_.begin(), link_down_.end(), 0);
-}
-
 void ChaosTransport::calm() {
   std::lock_guard<std::mutex> lock(mu_);
-  partitioned_ = false;
-  std::fill(in_group_.begin(), in_group_.end(), 0);
-  std::fill(link_down_.begin(), link_down_.end(), 0);
+  faults_.clear();
   std::fill(corrupt_drop_.begin(), corrupt_drop_.end(), 0);
-  std::fill(throttle_.begin(), throttle_.end(), 0);
-  loss_ = 0;
-  dup_ = 0;
-  delay_ = 0;
-}
-
-void ChaosTransport::set_loss(double p) {
-  std::lock_guard<std::mutex> lock(mu_);
-  loss_ = p;
-}
-
-void ChaosTransport::set_duplication(double p) {
-  std::lock_guard<std::mutex> lock(mu_);
-  dup_ = p;
-}
-
-void ChaosTransport::set_delay(core::Time delay) {
-  std::lock_guard<std::mutex> lock(mu_);
-  delay_ = delay;
-}
-
-void ChaosTransport::set_throttle(NodeId from, NodeId to, core::Time delay) {
-  std::lock_guard<std::mutex> lock(mu_);
-  throttle_.at(link_index(from, to)) = delay;
 }
 
 void ChaosTransport::inject_reset(NodeId to) {
@@ -173,16 +135,15 @@ void ChaosTransport::filtered_send(NodeId from, NodeId to,
   core::Time delay = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (link_down_[link_index(from, to)] != 0 ||
-        (partitioned_ && in_group_[from] != in_group_[to]) ||
-        (loss_ > 0 && rng_.chance(loss_))) {
+    if (!faults_.link_up(from, to) || faults_.lose(rng_)) {
       drop = true;
     } else if (corrupt_drop_[link_index(from, to)] != 0) {
       corrupt_drop_[link_index(from, to)] = 0;
       corrupt = true;
     } else {
-      duplicate = dup_ > 0 && rng_.chance(dup_);
-      delay = delay_ + throttle_[link_index(from, to)];
+      duplicate = faults_.duplicate(rng_);
+      delay = scale_to_delay(faults_.latency_scale()) +
+              faults_.throttle(from, to);
       // Jitter the hold time by up to ±50% so delayed messages overtake
       // each other — delay doubles as the reordering fault.
       if (delay > 0)

@@ -10,23 +10,26 @@
 
 #include "core/event_queue.hpp"
 #include "core/time.hpp"
+#include "net/link_faults.hpp"
 #include "runtime/transport.hpp"
 #include "sim/rng.hpp"
 
 namespace m2::runtime {
 
-/// Deterministic fault-injection decorator over any Transport (loopback or
-/// TCP): the runtime counterpart of the simulator's network faults, driven
-/// by the same fuzz::FaultAction vocabulary (fuzz::run_case maps a
-/// schedule's actions onto these controls at real-time offsets).
+/// Seeded fault-injection decorator over any Transport (loopback or TCP).
+/// Its link faults are one net::LinkFaults, the same model and rules as the
+/// simulator's net::Network, edited through edit_faults(); fuzz::run_case
+/// applies a schedule's actions to both through one function. What needs
+/// a real connection (resets, wire corruption) and the hold-back pump live
+/// here.
 ///
 /// Faults it can express on the send path, per directed link:
-///  - drop: link down, partition (exactly one endpoint inside the group),
-///    or a seeded loss roll — the message vanishes (chaos_dropped);
-///  - delay: a global latency spike and/or per-link slow-peer throttle
-///    holds the message back on a pump thread and re-injects it later with
-///    jittered timing, so delayed traffic overtakes and reorders
-///    (chaos_delayed);
+///  - drop: link down (a partition downs every link across its cut), or a
+///    seeded loss roll — the message vanishes (chaos_dropped);
+///  - delay: the latency scale, read as (scale - 1) ms of extra one-way
+///    delay per message, plus the link's slow-peer throttle, holds the
+///    message back on a pump thread and re-injects it later with jittered
+///    timing, so delayed traffic overtakes and reorders (chaos_delayed);
 ///  - duplicate: a seeded roll delivers a second copy (chaos_duplicated);
 ///  - corrupt: flips a wire byte via the inner transport's
 ///    chaos_corrupt_next hook — on TCP the receiver's CRC check tears the
@@ -60,29 +63,21 @@ class ChaosTransport final : public Transport {
   }
 
   // --- fault controls (any thread) -------------------------------------
-  /// Makes the directed link from->to drop everything (or restores it),
-  /// like net::Network::set_link.
-  void set_link(NodeId from, NodeId to, bool up);
-  /// Splits `group` from the rest of the cluster (both directions).
-  void set_partition(const std::vector<NodeId>& group);
-  /// Removes all partitions and per-link failures (not loss/delay/dup —
-  /// those have their own clears, mirroring the simulator's heal()).
-  void heal();
-  void set_loss(double p);
-  void set_duplication(double p);
-  /// Base delay added to every cross-node message (0 = off).
-  void set_delay(core::Time delay);
-  /// Extra delay on one directed link (slow peer); 0 clears it.
-  void set_throttle(NodeId from, NodeId to, core::Time delay);
+  /// Runs `edit(net::LinkFaults&)` on the link faults under the lock the
+  /// send path reads them with.
+  template <class Edit>
+  void edit_faults(Edit&& edit) {
+    std::lock_guard<std::mutex> lock(mu_);
+    edit(faults_);
+  }
   /// Tears down the live connection to `to` (TCP only). Counted when it
   /// actually severed something.
   void inject_reset(NodeId to);
   /// Corrupts the next frame to `to`; on transports with no wire the next
   /// message on the link is dropped instead (both count chaos_corrupted).
   void inject_corrupt(NodeId from, NodeId to);
-  /// Removes every standing fault (partition, links, loss, dup, delay,
-  /// throttles, pending one-shot corruptions) — the end-of-run safety net
-  /// before the drain window.
+  /// Removes every standing fault (LinkFaults::clear() and pending one-shot
+  /// corruptions) — the end-of-run safety net before the drain window.
   void calm();
 
   Transport* inner() { return inner_.get(); }
@@ -125,14 +120,8 @@ class ChaosTransport final : public Transport {
 
   std::mutex mu_;  // fault state + rng (control threads vs node threads)
   sim::Rng rng_;
-  std::vector<std::uint8_t> link_down_;     // n*n, directed
+  net::LinkFaults faults_;
   std::vector<std::uint8_t> corrupt_drop_;  // n*n, one-shot fallback flags
-  std::vector<core::Time> throttle_;        // n*n, per-link extra delay
-  std::vector<std::uint8_t> in_group_;      // partition side A membership
-  bool partitioned_ = false;
-  double loss_ = 0;
-  double dup_ = 0;
-  core::Time delay_ = 0;
 
   std::mutex q_mu_;
   std::condition_variable q_cv_;

@@ -216,8 +216,8 @@ TEST(Batching, M2PaxosFrontierGcWithBatchesAnswersLateSync) {
   harness::Cluster cluster(cfg, w);
   cluster.set_measuring(true);
 
-  cluster.network().set_link(0, 2, false);
-  cluster.network().set_link(1, 2, false);
+  cluster.network().faults().set_link(0, 2, false);
+  cluster.network().faults().set_link(1, 2, false);
   // Bursts of 3 against one hot object: the accumulator closes them into
   // multi-command slots, and 30 commands over ~10 slots push the frontier
   // far enough past gc_margin=4 that truncation provably ran.
@@ -235,8 +235,8 @@ TEST(Batching, M2PaxosFrontierGcWithBatchesAnswersLateSync) {
     EXPECT_GT(test::count(cluster, n, Counter::kGcTruncatedSlots), 0u)
         << "node " << n;
 
-  cluster.network().set_link(0, 2, true);
-  cluster.network().set_link(1, 2, true);
+  cluster.network().faults().set_link(0, 2, true);
+  cluster.network().faults().set_link(1, 2, true);
   // The next decide reaches node 2 and exposes the gap, arming its probe —
   // which asks from instance 1, below the peers' truncated log base.
   cluster.propose(0, cmd(0, 31, {0}));

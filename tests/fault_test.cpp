@@ -94,7 +94,7 @@ TEST(FaultM2Paxos, MessageLossIsMaskedByRetries) {
   FaultCluster t(core::Protocol::kM2Paxos, 3, 9);
   // 20 % loss: accepts and acks get dropped; watchdogs retransmit the same
   // slots until a quorum acks.
-  t.cluster.network().set_loss(0.2);
+  t.cluster.network().faults().set_loss(0.2);
   for (int i = 1; i <= 10; ++i) t.cluster.propose(0, cmd(0, i, {0}));
   t.cluster.run_for(2 * sim::kSecond);
   EXPECT_EQ(t.cluster.delivered_at(0), 10u);
@@ -105,14 +105,14 @@ TEST(FaultM2Paxos, MessageLossIsMaskedByRetries) {
 TEST(FaultM2Paxos, PartitionHealsAndCatchesUp) {
   FaultCluster t(core::Protocol::kM2Paxos, 5, 11);
   // Minority side {0, 1} cannot decide; majority side can.
-  t.cluster.network().partition({0, 1});
+  t.cluster.network().faults().partition({0, 1});
   t.cluster.propose(0, cmd(0, 1, {0}));   // owner 0 in minority: blocked
   t.cluster.propose(2, cmd(2, 1, {2000})); // owner 2 in majority: decides
   t.cluster.run_for(50 * sim::kMillisecond);
   EXPECT_EQ(t.cluster.delivered_at(0), 0u);
   EXPECT_EQ(t.cluster.delivered_at(2), 1u);
 
-  t.cluster.network().heal();
+  t.cluster.network().faults().heal();
   t.cluster.run_for(500 * sim::kMillisecond);
   // After healing, the blocked command is retried and reaches everyone.
   // (Decisions broadcast during the partition are not replayed to the
@@ -145,7 +145,7 @@ class DuplicationFault : public ::testing::TestWithParam<core::Protocol> {};
 
 TEST_P(DuplicationFault, HeavyDuplicationStaysCorrect) {
   FaultCluster t(GetParam(), 3, 17);
-  t.cluster.network().set_duplication(0.5);
+  t.cluster.network().faults().set_duplication(0.5);
   for (int i = 1; i <= 20; ++i)
     for (NodeId n = 0; n < 3; ++n)
       t.cluster.propose(n, cmd(n, i, {static_cast<core::ObjectId>(i % 4)}));
@@ -170,7 +170,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FaultMultiPaxos, LossToleratedByProposerRetries) {
   FaultCluster t(core::Protocol::kMultiPaxos, 3, 15);
-  t.cluster.network().set_loss(0.15);
+  t.cluster.network().faults().set_loss(0.15);
   for (int i = 1; i <= 10; ++i) t.cluster.propose(1, cmd(1, i, {0}));
   t.cluster.run_for(3 * sim::kSecond);
   EXPECT_EQ(t.cluster.delivered_at(1), 10u);

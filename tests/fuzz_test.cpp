@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "fuzz/fault_schedule.hpp"
 #include "fuzz/fuzzer.hpp"
@@ -99,6 +100,38 @@ TEST(Fuzzer, RunCaseIsDeterministic) {
   EXPECT_EQ(a.committed, b.committed);
   EXPECT_EQ(a.decisions, b.decisions);
   EXPECT_EQ(a.deliveries, b.deliveries);
+}
+
+/// A slow peer in virtual time: the simulator applies a throttle spike
+/// like the runtime does (`value` ms of extra one-way delay on a -> b).
+TEST(Fuzzer, SimThrottleSpikeRunsCleanAndIsDeterministic) {
+  auto fuzz_case = base_case(core::Protocol::kM2Paxos, 5);
+  fuzz::FaultAction spike;
+  spike.at = 50 * core::kMillisecond;
+  spike.kind = fuzz::FaultKind::kThrottleSpike;
+  spike.a = 0;
+  spike.b = 1;
+  spike.value = 5.0;
+  spike.episode = 0;
+  fuzz::FaultAction clear = spike;
+  clear.at = 250 * core::kMillisecond;
+  clear.kind = fuzz::FaultKind::kThrottleClear;
+  clear.value = 0;
+  fuzz_case.schedule = std::vector<fuzz::FaultAction>{spike, clear};
+  EXPECT_EQ(spike.to_string(), "[e0] 50000us throttle-spike n0->n1 +5ms");
+
+  const auto a = fuzz::run_case(fuzz_case);
+  const auto b = fuzz::run_case(fuzz_case);
+  EXPECT_TRUE(a.ok) << (a.violations.empty() ? "" : a.violations.front());
+  EXPECT_FALSE(a.lossy);
+  EXPECT_GT(a.committed, 0u);
+  EXPECT_EQ(a.ok, b.ok);
+  EXPECT_EQ(a.violations, b.violations);
+  EXPECT_EQ(a.proposals, b.proposals);
+  EXPECT_EQ(a.committed, b.committed);
+  EXPECT_EQ(a.decisions, b.decisions);
+  EXPECT_EQ(a.deliveries, b.deliveries);
+  EXPECT_EQ(a.nodes_crashed, b.nodes_crashed);
 }
 
 class FuzzSmoke : public ::testing::TestWithParam<core::Protocol> {};

@@ -73,11 +73,11 @@ TEST(Marathon, LossyNetworkLongHaul) {
   cfg.load.think_time = 2 * sim::kMillisecond;
   harness::Cluster cluster(cfg, workload);
   cluster.set_measuring(true);
-  cluster.network().set_loss(0.10);
+  cluster.network().faults().set_loss(0.10);
   cluster.start_clients();
   cluster.run_for(1 * sim::kSecond);
   cluster.stop_clients();
-  cluster.network().set_loss(0.0);
+  cluster.network().faults().set_loss(0.0);
   cluster.run_for(2 * sim::kSecond);  // let retries finish
 
   EXPECT_GT(cluster.committed_count(), 200u);

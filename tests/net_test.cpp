@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "net/latency.hpp"
+#include "net/link_faults.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -19,6 +23,77 @@ NetworkConfig quiet_config() {
   NetworkConfig cfg;
   cfg.latency.jitter_sigma = 0;  // deterministic delays for exact asserts
   return cfg;
+}
+
+// ---------------------------------------------------------------------
+// LinkFaults: the one set of link-fault rules both substrates follow
+// ---------------------------------------------------------------------
+
+TEST(LinkFaults, PartitionRewritesTheLinkMatrix) {
+  LinkFaults faults(4);
+  faults.partition({0, 1});
+  for (NodeId from = 0; from < 4; ++from)
+    for (NodeId to = 0; to < 4; ++to)
+      EXPECT_EQ(faults.link_up(from, to), (from < 2) == (to < 2))
+          << from << "->" << to;
+}
+
+TEST(LinkFaults, LinkUpDuringAPartitionReopensThatLink) {
+  LinkFaults faults(3);
+  faults.partition({0});
+  faults.set_link(0, 2, true);
+  EXPECT_TRUE(faults.link_up(0, 2));
+  EXPECT_FALSE(faults.link_up(2, 0));  // directed: only 0->2 reopened
+  EXPECT_FALSE(faults.link_up(0, 1));
+  EXPECT_TRUE(faults.link_up(1, 2));
+}
+
+TEST(LinkFaults, HealClearsLinksOnly) {
+  LinkFaults faults(3);
+  faults.partition({0});
+  faults.set_link(1, 2, false);
+  faults.set_loss(0.25);
+  faults.set_duplication(0.5);
+  faults.set_latency_scale(4.0);
+  faults.set_throttle(1, 0, 7 * sim::kMillisecond);
+  faults.heal();
+  for (NodeId from = 0; from < 3; ++from)
+    for (NodeId to = 0; to < 3; ++to) EXPECT_TRUE(faults.link_up(from, to));
+  EXPECT_EQ(faults.loss(), 0.25);
+  EXPECT_EQ(faults.duplication(), 0.5);
+  EXPECT_EQ(faults.latency_scale(), 4.0);
+  EXPECT_EQ(faults.throttle(1, 0), 7 * sim::kMillisecond);
+}
+
+TEST(LinkFaults, ClearResetsEverything) {
+  LinkFaults faults(3, /*loss=*/0.1);
+  EXPECT_EQ(faults.loss(), 0.1);
+  faults.partition({2});
+  faults.set_duplication(0.5);
+  faults.set_latency_scale(4.0);
+  faults.set_throttle(0, 1, sim::kMillisecond);
+  faults.clear();
+  for (NodeId from = 0; from < 3; ++from)
+    for (NodeId to = 0; to < 3; ++to) {
+      EXPECT_TRUE(faults.link_up(from, to));
+      EXPECT_EQ(faults.throttle(from, to), 0);
+    }
+  EXPECT_EQ(faults.loss(), 0.0);
+  EXPECT_EQ(faults.duplication(), 0.0);
+  EXPECT_EQ(faults.latency_scale(), 1.0);
+}
+
+TEST(LinkFaults, RollsDrawOnlyWhenTheFaultIsOn) {
+  LinkFaults faults(2);
+  sim::Rng rng(3);
+  sim::Rng untouched(3);
+  EXPECT_FALSE(faults.lose(rng));
+  EXPECT_FALSE(faults.duplicate(rng));
+  EXPECT_EQ(rng.next(), untouched.next());
+  faults.set_loss(1.0);
+  faults.set_duplication(1.0);
+  EXPECT_TRUE(faults.lose(rng));
+  EXPECT_TRUE(faults.duplicate(rng));
 }
 
 // ---------------------------------------------------------------------
@@ -175,9 +250,8 @@ TEST(Network, BatchFlushesAtByteLimit) {
 
 TEST(Network, DuplicationDeliversTwice) {
   sim::Simulator sim;
-  auto cfg = quiet_config();
-  cfg.duplicate_probability = 1.0;
-  Network net(sim, cfg, 2);
+  Network net(sim, quiet_config(), 2);
+  net.faults().set_duplication(1.0);
   int received = 0;
   net.set_delivery(1, [&](const Envelope&) { ++received; });
   net.send(0, 1, make_payload<Ping>());
@@ -204,17 +278,53 @@ TEST(Network, PartitionBlocksAcrossGroups) {
   std::vector<int> received(4, 0);
   for (NodeId n = 0; n < 4; ++n)
     net.set_delivery(n, [&received, n](const Envelope&) { ++received[n]; });
-  net.partition({0, 1});
+  net.faults().partition({0, 1});
   net.broadcast(0, make_payload<Ping>(), false);
   sim.run();
   EXPECT_EQ(received[1], 1);
   EXPECT_EQ(received[2], 0);
   EXPECT_EQ(received[3], 0);
-  net.heal();
+  net.faults().heal();
   net.broadcast(0, make_payload<Ping>(), false);
   sim.run();
   EXPECT_EQ(received[2], 1);
   EXPECT_EQ(received[3], 1);
+}
+
+TEST(Network, ThrottleDelaysOneDirectedLinkAndKeepsFifo) {
+  sim::Simulator sim;
+  Network net(sim, quiet_config(), 2);
+  constexpr sim::Time kThrottle = 5 * sim::kMillisecond;
+  net.faults().set_throttle(0, 1, kThrottle);
+  std::vector<sim::Time> at_1;
+  std::vector<std::size_t> sizes_at_1;
+  sim::Time at_0 = -1;
+  net.set_delivery(1, [&](const Envelope& env) {
+    at_1.push_back(sim.now());
+    sizes_at_1.push_back(env.payload->wire_size());
+  });
+  net.set_delivery(0, [&](const Envelope&) { at_0 = sim.now(); });
+  for (std::size_t i = 1; i <= 10; ++i) net.send(0, 1, make_payload<Ping>(i));
+  net.send(1, 0, make_payload<Ping>());
+  sim.run();
+
+  const sim::Time base = quiet_config().latency.propagation;
+  ASSERT_EQ(at_1.size(), 10u);
+  EXPECT_GE(at_1.front(), base + kThrottle);
+  // The reverse link is not throttled.
+  EXPECT_GE(at_0, base);
+  EXPECT_LT(at_0, base + kThrottle);
+  // FIFO holds on the throttled link.
+  for (std::size_t i = 0; i < sizes_at_1.size(); ++i)
+    EXPECT_EQ(sizes_at_1[i], i + 1);
+  EXPECT_TRUE(std::is_sorted(at_1.begin(), at_1.end()));
+
+  // Cleared, the link is back to its plain delay.
+  net.faults().set_throttle(0, 1, 0);
+  const sim::Time sent = sim.now();
+  net.send(0, 1, make_payload<Ping>());
+  sim.run();
+  EXPECT_LT(at_1.back() - sent, base + kThrottle);
 }
 
 TEST(Network, CrashedNodeNeitherSendsNorReceives) {
@@ -319,7 +429,7 @@ TEST(Network, FlatTablesEnforcePartitionPerLink) {
   for (NodeId n = 0; n < 4; ++n)
     net.set_delivery(n, [&received, n](const Envelope&) { ++received[n]; });
 
-  net.partition({0, 1});  // {0,1} vs {2,3}
+  net.faults().partition({0, 1});  // {0,1} vs {2,3}
   for (NodeId from = 0; from < 4; ++from)
     for (NodeId to = 0; to < 4; ++to)
       if (from != to) net.send(from, to, make_payload<Ping>());
@@ -332,7 +442,7 @@ TEST(Network, FlatTablesEnforcePartitionPerLink) {
     EXPECT_EQ(net.counters(n).messages_sent, 3u) << "node " << n;
   }
 
-  net.heal();
+  net.faults().heal();
   for (NodeId from = 0; from < 4; ++from)
     for (NodeId to = 0; to < 4; ++to)
       if (from != to) net.send(from, to, make_payload<Ping>());

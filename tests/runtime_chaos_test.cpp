@@ -407,17 +407,20 @@ struct ChaosPair {
 
 TEST(ChaosTransportUnit, LinkDownLossAndPartitionDropAndCount) {
   ChaosPair pair;
-  pair.chaos.set_link(0, 1, /*up=*/false);
+  pair.chaos.edit_faults(
+      [](net::LinkFaults& f) { f.set_link(0, 1, /*up=*/false); });
   pair.chaos.send(0, 1, *make_accept(1));
   EXPECT_EQ(pair.chaos.chaos_dropped(), 1u);
 
-  pair.chaos.heal();
-  pair.chaos.set_loss(1.0);
+  pair.chaos.edit_faults([](net::LinkFaults& f) {
+    f.heal();
+    f.set_loss(1.0);
+  });
   pair.chaos.send(0, 1, *make_accept(2));
   EXPECT_EQ(pair.chaos.chaos_dropped(), 2u);
-  pair.chaos.set_loss(0.0);
+  pair.chaos.edit_faults([](net::LinkFaults& f) { f.set_loss(0.0); });
 
-  pair.chaos.set_partition({0});
+  pair.chaos.edit_faults([](net::LinkFaults& f) { f.partition({0}); });
   pair.chaos.send(0, 1, *make_accept(3));
   pair.chaos.send(1, 0, *make_accept(4));
   EXPECT_EQ(pair.chaos.chaos_dropped(), 4u);
@@ -425,7 +428,7 @@ TEST(ChaosTransportUnit, LinkDownLossAndPartitionDropAndCount) {
   pair.chaos.broadcast(0, *make_accept(5), /*include_self=*/true);
   std::vector<Event> events;
   EXPECT_EQ(pair.drain(pair.rx0, 1, events), 1u);
-  pair.chaos.heal();
+  pair.chaos.edit_faults([](net::LinkFaults& f) { f.heal(); });
 
   // Healed: traffic flows and nothing new is counted.
   pair.chaos.send(0, 1, *make_accept(6));
@@ -436,16 +439,17 @@ TEST(ChaosTransportUnit, LinkDownLossAndPartitionDropAndCount) {
 
 TEST(ChaosTransportUnit, DuplicatesDeliverTwiceAndDelaysReorder) {
   ChaosPair pair;
-  pair.chaos.set_duplication(1.0);
+  pair.chaos.edit_faults([](net::LinkFaults& f) { f.set_duplication(1.0); });
   pair.chaos.send(0, 1, *make_accept(1));
   std::vector<Event> events;
   EXPECT_EQ(pair.drain(pair.rx1, 2, events), 2u);  // original + duplicate
   EXPECT_EQ(pair.chaos.chaos_duplicated(), 1u);
-  pair.chaos.set_duplication(0.0);
+  pair.chaos.edit_faults([](net::LinkFaults& f) { f.set_duplication(0.0); });
 
   // Jittered delay: a burst goes through the hold-back queue and arrives
-  // complete (reordering is allowed, loss is not).
-  pair.chaos.set_delay(2 * core::kMillisecond);
+  // complete (reordering is allowed, loss is not). Latency scale 3 holds
+  // each message back (3 - 1) ms.
+  pair.chaos.edit_faults([](net::LinkFaults& f) { f.set_latency_scale(3.0); });
   constexpr std::uint64_t kBurst = 64;
   for (std::uint64_t i = 0; i < kBurst; ++i)
     pair.chaos.send(0, 1, *make_accept(100 + i));
@@ -533,8 +537,10 @@ TEST(ChaosTransportUnit, InboxToleratesDuplicatedAndReorderedTraffic) {
   auto chaos_owned = std::make_unique<ChaosTransport>(
       std::make_unique<LoopbackTransport>(n), n, 77);
   ChaosTransport* chaos = chaos_owned.get();
-  chaos->set_duplication(1.0);
-  chaos->set_delay(1 * core::kMillisecond);
+  chaos->edit_faults([](net::LinkFaults& f) {
+    f.set_duplication(1.0);
+    f.set_latency_scale(2.0);  // 1 ms hold-back per message
+  });
 
   RuntimeConfig cfg;
   cfg.protocol = core::Protocol::kM2Paxos;

@@ -39,7 +39,7 @@ TEST(M2PaxosSync, LaggingReplicaCatchesUpViaSync) {
   SyncCluster t(3);
   // Cut node 2 off from node 0's messages: it will miss Accept AND Decide
   // for node 0's commands.
-  t.cluster.network().set_link(0, 2, false);
+  t.cluster.network().faults().set_link(0, 2, false);
   for (int i = 1; i <= 5; ++i) t.cluster.propose(0, cmd(0, i, {0}));
   t.cluster.run_for(20 * sim::kMillisecond);
   EXPECT_EQ(t.cluster.delivered_at(0), 5u);
@@ -48,7 +48,7 @@ TEST(M2PaxosSync, LaggingReplicaCatchesUpViaSync) {
 
   // Heal, then decide one more command so node 2 observes a gap (a decided
   // slot above its frontier) — that arms its sync probe.
-  t.cluster.network().set_link(0, 2, true);
+  t.cluster.network().faults().set_link(0, 2, true);
   t.cluster.propose(0, cmd(0, 6, {0}));
   t.cluster.run_for(100 * sim::kMillisecond);
 
@@ -94,8 +94,8 @@ TEST(M2PaxosSync, LateSyncBelowTruncationHorizonAnswersRetainedWindow) {
   // — not crash, not rebind truncated slots — and the laggard must hold
   // its frontier rather than deliver a suffix with a missing prefix.
   SyncCluster t(3, 1, /*gc_margin=*/4);
-  t.cluster.network().set_link(0, 2, false);
-  t.cluster.network().set_link(1, 2, false);
+  t.cluster.network().faults().set_link(0, 2, false);
+  t.cluster.network().faults().set_link(1, 2, false);
   for (int i = 1; i <= 30; ++i) t.cluster.propose(0, cmd(0, i, {0}));
   t.cluster.run_for(50 * sim::kMillisecond);
   EXPECT_EQ(t.cluster.delivered_at(0), 30u);
@@ -103,8 +103,8 @@ TEST(M2PaxosSync, LateSyncBelowTruncationHorizonAnswersRetainedWindow) {
   for (NodeId n = 0; n < 2; ++n)
     EXPECT_GT(t.count(n, Counter::kGcTruncatedSlots), 0u) << "node " << n;
 
-  t.cluster.network().set_link(0, 2, true);
-  t.cluster.network().set_link(1, 2, true);
+  t.cluster.network().faults().set_link(0, 2, true);
+  t.cluster.network().faults().set_link(1, 2, true);
   // The next Decide reaches node 2 and exposes the gap, arming its sync
   // probe — which asks for instance 1, far below the peers' log base.
   t.cluster.propose(0, cmd(0, 31, {0}));
@@ -127,12 +127,12 @@ TEST(M2PaxosSync, LatePrepareBelowTruncationHorizonRespectsFloors) {
   // owner's writes above the truncated range — never into it — and the
   // surviving replicas keep delivering.
   SyncCluster t(3, 1, /*gc_margin=*/4);
-  t.cluster.network().set_link(0, 2, false);
-  t.cluster.network().set_link(1, 2, false);
+  t.cluster.network().faults().set_link(0, 2, false);
+  t.cluster.network().faults().set_link(1, 2, false);
   for (int i = 1; i <= 30; ++i) t.cluster.propose(0, cmd(0, i, {0}));
   t.cluster.run_for(50 * sim::kMillisecond);
-  t.cluster.network().set_link(0, 2, true);
-  t.cluster.network().set_link(1, 2, true);
+  t.cluster.network().faults().set_link(0, 2, true);
+  t.cluster.network().faults().set_link(1, 2, true);
 
   // The owner crashes; node 2 (frontier still 0) must take over object 0
   // with a Prepare starting at instance 1 — 26 instances below node 1's
@@ -160,10 +160,10 @@ TEST(M2PaxosSync, SyncRepairsLostDecideWithoutNewProposals) {
   // node 1 misses decides but another decision creates the gap signal.
   for (int i = 1; i <= 3; ++i) t.cluster.propose(0, cmd(0, i, {0}));
   t.cluster.run_for(10 * sim::kMillisecond);
-  t.cluster.network().set_link(0, 1, false);
+  t.cluster.network().faults().set_link(0, 1, false);
   for (int i = 4; i <= 6; ++i) t.cluster.propose(0, cmd(0, i, {0}));
   t.cluster.run_for(10 * sim::kMillisecond);
-  t.cluster.network().set_link(0, 1, true);
+  t.cluster.network().faults().set_link(0, 1, true);
   // One more command after healing delivers the gap evidence to node 1.
   t.cluster.propose(0, cmd(0, 7, {0}));
   t.cluster.run_for(100 * sim::kMillisecond);
